@@ -1325,47 +1325,35 @@ let trim_cmd =
       (* by default the trimmed trace keeps the input's encoding;
          --format rewrites into the other one *)
       let out_format = Option.value ~default:detected format_opt in
-      if checked then (
-        (* legacy DF-verified path: replay the whole proof, then keep what
-           the checker built.  Slower, but the trim is itself checked. *)
-        match Checker.Trim.trim f src with
-        | Error (Checker.Diagnostics.Malformed_trace _ as d) ->
-          Printf.printf "c bad trace: %s\n" (Checker.Diagnostics.to_string d);
-          print_endline "s BAD TRACE (parse)";
-          exit 2
-        | Error d ->
-          Printf.printf "c input trace does not check: %s\n"
-            (Checker.Diagnostics.to_string d);
-          exit 1
-        | Ok r ->
-          let w = Trace.Writer.create out_format in
-          Checker.Trim.write w r;
-          Trace.Writer.to_file w output;
-          Printf.printf
-            "c kept %d learned clauses, dropped %d; trimmed trace: %d bytes \
-             -> %s\n"
-            r.kept_learned r.dropped_learned
-            (Trace.Writer.bytes_written w)
-            output;
-          exit 0)
-      else (
-        let w = Trace.Writer.create out_format in
-        match Analysis.Dag.trim ~io src w with
-        | Error e ->
-          Printf.printf "c cannot trim: %s at %s\n" e.Analysis.Dag.message
-            (Trace.Reader.pos_to_string e.Analysis.Dag.pos);
-          print_endline "s BAD TRACE (analyze)";
-          exit 2
-        | Ok (stats, _profile) ->
-          Trace.Writer.to_file w output;
-          Printf.printf
-            "c trim: kept %d of %d learned clauses (%d dead dropped), %d -> \
-             %d records, %d -> %d bytes -> %s\n"
-            stats.kept_learned
-            (stats.kept_learned + stats.dropped_learned)
-            stats.dropped_learned stats.records_in stats.records_out
-            stats.bytes_in stats.bytes_out output;
-          exit 0)
+      let w = Trace.Writer.create out_format in
+      match Analysis.Dag.trim ~io src w with
+      | Error e ->
+        Printf.printf "c cannot trim: %s at %s\n" e.Analysis.Dag.message
+          (Trace.Reader.pos_to_string e.Analysis.Dag.pos);
+        print_endline "s BAD TRACE (analyze)";
+        exit 2
+      | Ok (stats, _profile) ->
+        (* --checked: the trimmed trace must verify breadth-first before
+           anything is written *)
+        (if checked then
+           match
+             Checker.Bf.check ~format:out_format f
+               (Trace.Reader.From_string (Trace.Writer.contents w))
+           with
+           | Ok _ -> ()
+           | Error d ->
+             Printf.printf "c trimmed trace does not check: %s\n"
+               (Checker.Diagnostics.to_string d);
+             exit 1);
+        Trace.Writer.to_file w output;
+        Printf.printf
+          "c trim: kept %d of %d learned clauses (%d dead dropped), %d -> %d \
+           records, %d -> %d bytes -> %s\n"
+          stats.kept_learned
+          (stats.kept_learned + stats.dropped_learned)
+          stats.dropped_learned stats.records_in stats.records_out
+          stats.bytes_in stats.bytes_out output;
+        exit 0
   in
   let trace_pos =
     Arg.(
@@ -1393,10 +1381,9 @@ let trim_cmd =
       value & flag
       & info [ "checked" ]
           ~doc:
-            "Replay the proof with the depth-first checker and keep the \
-             clauses it built, instead of the default static reachability \
-             analysis.  Slower; rejects a trace that does not check \
-             (exit 1).")
+            "Check the trimmed trace with the breadth-first checker \
+             before writing it; when it does not verify, exit 1 and write \
+             nothing.")
   in
   Cmd.v
     (Cmd.info "trim"
@@ -1406,8 +1393,8 @@ let trim_cmd =
           dropped, through a static analysis of the proof DAG — the proof \
           is not replayed.  Every checking strategy reaches an identical \
           verdict and core on the trimmed trace, and trimming again is a \
-          no-op.  Exit codes: 0 trimmed, 1 $(b,--checked) replay rejected \
-          the proof, 2 unreadable, unparsable or structurally broken \
+          no-op.  Exit codes: 0 trimmed, 1 $(b,--checked) rejected the \
+          trimmed proof, 2 unreadable, unparsable or structurally broken \
           input.")
     Term.(
       const run $ telemetry_term $ formula_arg $ trace_pos $ output_arg

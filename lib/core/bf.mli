@@ -1,28 +1,16 @@
-(** Breadth-first checker (paper §3.3).
-
-    The trace is streamed twice.  Pass one counts, for every clause ID,
-    how many times it is used as a resolve source (plus one use for each
-    antecedent/final-conflict reference).  Pass two rebuilds each learned
-    clause in trace order — all its sources are guaranteed to be already
-    constructed — and releases a clause the moment its use count drains.
-
-    This is the paper's memory guarantee: the checker never holds more
-    clauses than the solver itself did while producing the trace, so if
-    the solver finished, the checker cannot run out of memory.  The price
-    is building 100% of the learned clauses (Table 2: slower, typically
-    around 2x, but a small bounded footprint; it finishes the instances
-    where depth-first dies).
+(** Breadth-first checker (paper §3.3): the {!Forward} replay that
+    builds every learned record, frees at use count zero and reads the
+    trace twice (count, then rebuild).  The checker never holds more
+    clauses than the solver did while producing the trace, at the price
+    of building 100% of the learned clauses (Table 2).
 
     The use counts are the paper's temporary file.  [`In_memory] (the
     default) keeps them in a hash table, uncharged to the meter;
-    [`Temp_file chunk] reproduces the paper's implementation literally — the
-    counting pass is broken into chunks of [chunk] clause IDs, each
-    chunk's counts are written to a real temporary file on disk, and
-    during the resolution pass a clause's total count is read back from
-    the file when the clause is constructed, so main memory holds
-    counters only for clauses that are currently alive ("we may also
-    need to break the first pass into several passes so that we can
-    count the number of usages of the clauses in one range at a time"). *)
+    [`Temp_file chunk] writes them to a real file on disk in chunked
+    counting passes of [chunk] clause ids and reads a clause's count back
+    when it is rebuilt ("we may also need to break the first pass into
+    several passes so that we can count the number of usages of the
+    clauses in one range at a time"). *)
 
 type counting = [ `In_memory | `Temp_file of int (* chunk size *) ]
 

@@ -2,68 +2,35 @@
    whole trace (charged to the meter — the paper's stated DF
    disadvantage), then reconstruct on demand through the resolve-source
    DAG from the final conflict, so only proof-relevant clauses are ever
-   built and the touched originals form an unsat core. *)
+   built and the touched originals form an unsat core.  It shares only
+   the source, error and report frame with the forward replay. *)
 
 let check ?meter ?format ?io ?first_pass formula source =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let k = Proof.Kernel.create ~meter formula in
-  try
-    (* depth-first reads the trace exactly once, so the whole check can
-       run off a single-shot stream (pipe/FIFO) with no re-read *)
-    let src =
-      match first_pass with
-      | Some s -> s
-      | None ->
-        Trace.Source.of_cursor ~close_cursor:true
-          (Trace.Reader.cursor ?format ?io source)
-    in
-    let proof, pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"df" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () -> Proof.Kernel.load k ~charge:`Full src))
-    in
-    let conf_id =
-      match proof.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"df" "check.pass_two" @@ fun () ->
-          let b =
-            Proof.Kernel.builder k ~sources:proof.Proof.Kernel.sources
-              Proof.Kernel.unit_annotation
-          in
-          let fetch id = fst (Proof.Kernel.build b id) in
-          let (_ : int) =
-            Proof.Kernel.final_chain_ids k ~l0:proof.Proof.Kernel.l0 ~fetch
-              ~conflict_id:conf_id
-          in
-          ())
-    in
-    let learned_built_ids = Proof.Kernel.built_ids k in
-    let c = Proof.Kernel.counters k in
-    Ok {
-      Report.clauses_built = List.length learned_built_ids;
-      learned_built_ids;
-      total_learned = proof.Proof.Kernel.total_learned;
-      resolution_steps = c.Proof.Kernel.resolution_steps;
-      core_original_ids = Proof.Kernel.core_ids k;
-      core_vars = Proof.Kernel.core_var_count k;
-      peak_mem_words = Harness.Meter.peak_words meter;
-      peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-      arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-      jobs = 1;
-      wavefronts = 0;
-      max_wavefront_width = 0;
-      pass_one_seconds;
-      pass_two_seconds;
-    }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+  let k = Proof.Kernel.create ?meter formula in
+  Forward.guard (fun () ->
+      (* depth-first reads the trace exactly once, so the whole check can
+         run off a single-shot stream (pipe/FIFO) with no re-read *)
+      let src = Forward.source ?first_pass ?format ?io source in
+      let proof, pass_one_seconds =
+        Forward.timed ~cat:"df" "check.pass_one" (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Trace.Source.close src)
+              (fun () -> Proof.Kernel.load k ~charge:`Full src))
+      in
+      let conf_id = Forward.conflict proof.Proof.Kernel.final_conflict in
+      let (), pass_two_seconds =
+        Forward.timed ~cat:"df" "check.pass_two" (fun () ->
+            let b =
+              Proof.Kernel.builder k ~sources:proof.Proof.Kernel.sources
+                Proof.Kernel.unit_annotation
+            in
+            let fetch id = fst (Proof.Kernel.build b id) in
+            let (_ : int) =
+              Proof.Kernel.final_chain_ids k ~l0:proof.Proof.Kernel.l0 ~fetch
+                ~conflict_id:conf_id
+            in
+            ())
+      in
+      Forward.report k ~core:true
+        ~total_learned:proof.Proof.Kernel.total_learned ~pass_one_seconds
+        ~pass_two_seconds)

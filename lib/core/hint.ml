@@ -1,42 +1,20 @@
-(* Hinted one-pass forward checking (trace format version 2).
-
-   The trace's resolve-source lists already carry the resolution order,
-   so the only information breadth-first checking buys with its counting
-   pass is each clause's last use.  A hinted trace supplies exactly that
-   as [Event.Delete] records, letting this checker run a single forward
-   pass: every learned clause is rebuilt and defined the moment its
-   record arrives, and freed the moment a hint says its uses are
-   drained.  Peak residency follows the hint schedule (the refcount-zero
-   schedule when hints come from [rescheck hint]) at one trace read.
-
-   Hints are advice about memory, never about validity: a wrong hint can
-   only make the checker fail (clause referenced after its delete hint)
-   or retain clauses longer — it can never produce a wrong verdict.  On
-   a version-1 trace (no hints) the pass still checks everything and
-   simply never frees, so verdicts, cores and diagnostics match
-   breadth-first on every trace both can read. *)
+(* Hinted one-pass checking (trace format version 2) on the forward
+   replay: the trace's delete hints carry each clause's last use, so
+   every learned record is rebuilt and defined the moment it arrives, in
+   the validating pass itself, and freed the moment a hint says its uses
+   are drained.  Hints are advice about memory, never about validity: a
+   wrong hint can only make the check fail (a clause referenced after its
+   delete hint) or retain clauses longer.  A version-1 trace simply never
+   frees, so verdicts and diagnostics match breadth-first's. *)
 
 let check ?meter ?format ?io ?first_pass formula source =
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let kernel = Proof.Kernel.create ~meter formula in
-  let l0 = Proof.Level0.create () in
-  let stream =
-    Proof.Kernel.stream_start kernel ~stream_order:true ~l0
-      ~accept_hints:true ()
-  in
+  let fw = Forward.create ?meter ~hints:true ~count:false formula in
+  let kernel = Forward.kernel fw in
   let context = "hinted one-pass reconstruction" in
   (* ids already freed by a hint, kept only to diagnose bad hints — the
      hot path never touches this table until something goes wrong *)
   let deleted = Hashtbl.create 256 in
-  let src =
-    match first_pass with
-    | Some s -> s
-    | None ->
-      Trace.Source.of_cursor ~close_cursor:true
-        (Trace.Reader.cursor ?format ?io source)
-  in
+  let src = Forward.source ?first_pass ?format ?io source in
   let bad_hint id reason =
     Diagnostics.fail
       (Diagnostics.Positioned
@@ -70,60 +48,20 @@ let check ?meter ?format ?io ?first_pass formula source =
           else bad_hint id "is not defined at this point in the trace")
       ids
   in
-  try
-    let (), pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"hint" "check.one_pass" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              let rec drain () =
-                match Trace.Source.next src with
-                | None -> ()
-                | Some e ->
-                  Proof.Kernel.stream_feed stream e;
-                  (match e with
-                   | Trace.Event.Header _ | Trace.Event.Level0 _
-                   | Trace.Event.Final_conflict _ -> ()
-                   | Trace.Event.Learned l ->
-                     let h =
-                       Proof.Kernel.chain_ids kernel ~context ~fetch
-                         ~learned_id:l.id l.sources
-                     in
-                     Proof.Kernel.define kernel l.id h
-                   | Trace.Event.Delete ids -> delete ids);
-                  drain ()
-              in
-              drain ()))
-    in
-    let pass = Proof.Kernel.stream_finish stream in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    let (_ : int) =
-      Proof.Kernel.final_chain_ids kernel ~l0 ~fetch ~conflict_id:conf_id
-    in
-    let c = Proof.Kernel.counters kernel in
-    Ok
-      {
-        Report.clauses_built = c.Proof.Kernel.clauses_built;
-        total_learned = pass.Proof.Kernel.total_learned;
-        resolution_steps = c.Proof.Kernel.resolution_steps;
-        core_original_ids = [];
-        learned_built_ids = Proof.Kernel.built_ids kernel;
-        core_vars = 0;
-        peak_mem_words = Harness.Meter.peak_words meter;
-        peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-        arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-        jobs = 1;
-        wavefronts = 0;
-        max_wavefront_width = 0;
-        pass_one_seconds;
-        pass_two_seconds = 0.;
-      }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+  let p = { (Forward.policy fw ~context) with fetch; final_fetch = fetch } in
+  Forward.guard (fun () ->
+      let pass_one_seconds =
+        Forward.pass_one fw ~cat:"hint" ~name:"check.one_pass"
+          ~on_event:(fun e ->
+            match e with
+            | Trace.Event.Learned { id; sources } ->
+              Forward.record fw p ~id ~sources
+            | Trace.Event.Delete ids -> delete ids
+            | Trace.Event.Header _ | Trace.Event.Level0 _
+            | Trace.Event.Final_conflict _ -> ())
+          src
+      in
+      let total_learned, conf_id = Forward.conclude fw in
+      ignore (Forward.final fw p conf_id : int);
+      Forward.report kernel ~total_learned ~pass_one_seconds
+        ~pass_two_seconds:0.)

@@ -1,39 +1,19 @@
-(* Parallel breadth-first checking: the §3.3 two-pass discipline with
-   pass two executed as topological wavefronts across OCaml domains.
+(* Wavefront scheduling of the forward replay.  Pass one is breadth-first's
+   counting pass, also keeping every record as a task.  Pass two replays
+   one wavefront at a time: worker domains pull chunks of its chains off a
+   shared queue and resolve them through {!Proof.Kernel.resolve_ro}
+   against a store view frozen at dispatch, while the store itself stays
+   read-only.  At the barrier the main thread alone commits every result
+   in stream order through {!Forward.commit}, so verdicts and diagnostics
+   are those of sequential BF at any job count.
 
-   Pass one is the sequential BF counting pass, extended to label every
-   learned clause with its level — [1 + max (level of sources)], originals
-   at level 0 — so clauses in the same wavefront cannot depend on each
-   other.  Pass two replays one wavefront at a time: a fixed pool of
-   worker domains pulls chunks of the wavefront's resolution chains off a
-   shared queue and replays them through the re-entrant
-   {!Proof.Kernel.resolve_ro}, reading store operands in place from a
-   {!Proof.Clause_db.ro} view frozen at dispatch — only the running
-   resolvent lives in domain-local scratch — while the shared
-   {!Proof.Clause_db} stays read-only.  At the wavefront barrier
-   the main thread — alone — commits every result in stream order:
-   allocates the resolvents, folds the counter deltas in, defines or
-   drops each clause by its use count, and releases drained sources.
-   All mutation being single-threaded and in stream order makes verdicts,
-   cores and diagnostics bit-identical to sequential BF at any job count.
+   Wavefronts are levelled within stream windows of [window] records:
+   global levels would build level-1 clauses from the whole trace before
+   any release, inflating the live window several-fold.
 
-   Global wavefronts would wreck BF's memory guarantee: level-1 clauses
-   from the very start and the very end of the trace would all be built
-   (and stay live) before any level-2 clause releases its sources,
-   inflating the live window several-fold.  Wavefronts are therefore
-   scheduled {e within stream windows} of [window] learned clauses:
-   inside a window the level rule applies with sources from earlier
-   windows (already committed) counting as level 0.  At every window
-   boundary the live set is exactly sequential BF's at the same stream
-   point, so peak live clauses exceed BF's by at most one window's delayed
-   releases, while each window still exposes its internal width to the
-   worker pool.
-
-   Failures keep BF's first-failure semantics without giving up
-   parallelism: workers skip any task at or past the earliest failing
-   stream index seen so far, later wavefronts run restricted to earlier
-   stream indices, and the reported failure is the minimum-stream-index
-   one — exactly the failure sequential BF stops at. *)
+   Failures keep BF's first-failure semantics: workers skip any task at
+   or past the earliest failing stream index seen so far, and the
+   reported failure is the minimum-stream-index one. *)
 
 type task = {
   id : int;
@@ -240,253 +220,178 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
     ?first_pass formula source =
   if jobs < 1 then invalid_arg "Par.check: jobs must be >= 1";
   let window = max 1 window in
-  let meter =
-    match meter with Some m -> m | None -> Harness.Meter.create ()
-  in
-  let kernel = Proof.Kernel.create ~meter formula in
-  (* pass one is the only trace read (tasks are kept in memory), so the
+  (* the resolve-source lists are charged to the meter: the parallel
+     checker, unlike BF, must hold them until their wavefront commits *)
+  let fw = Forward.create ?meter ~charge:`Defs formula in
+  let kernel = Forward.kernel fw in
+  let p = Forward.policy fw ~context in
+  Forward.guard @@ fun () ->
+  (* pass one: BF's counting/validation pass, also collecting the
+     resolve-source lists as tasks; it is the only trace read, so the
      whole check can run off a single-shot stream *)
-  let src =
-    match first_pass with
-    | Some s -> s
-    | None ->
-      Trace.Source.of_cursor ~close_cursor:true
-        (Trace.Reader.cursor ?format ?io source)
+  let tasks_rev = ref [] in
+  let seq = ref 0 in
+  let pass_one_seconds =
+    Forward.pass_one fw ~cat:"par"
+      ~on_event:(fun e ->
+        match e with
+        | Trace.Event.Learned l ->
+          tasks_rev :=
+            {
+              id = l.id;
+              sources = l.sources;
+              seq = !seq;
+              words = 2 + Array.length l.sources;
+            }
+            :: !tasks_rev;
+          incr seq
+        | Trace.Event.Header _ | Trace.Event.Level0 _
+        | Trace.Event.Final_conflict _ | Trace.Event.Delete _ -> ())
+      (Forward.source ?first_pass ?format ?io source)
   in
-  let use = Hashtbl.create 4096 in
-  let get_count id = Option.value ~default:0 (Hashtbl.find_opt use id) in
-  let add_use id = Hashtbl.replace use id (1 + get_count id) in
-  let release_one_use id =
-    match get_count id with
-    | 0 -> ()
-    | n when n <= 1 ->
-      Hashtbl.remove use id;
-      Proof.Kernel.release_id kernel id
-    | n -> Hashtbl.replace use id (n - 1)
-  in
-  try
-    (* pass one: BF's counting/validation pass, also collecting the
-       resolve-source lists as tasks.  The lists are charged to the meter
-       (the parallel checker, unlike BF, must hold them until their
-       wavefront commits). *)
-    let tasks_rev = ref [] in
-    let seq = ref 0 in
-    let l0 = Proof.Level0.create () in
-    let pass, pass_one_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"par" "check.pass_one" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> Trace.Source.close src)
-            (fun () ->
-              Proof.Kernel.stream_pass kernel ~stream_order:true ~l0
-                ~charge:`Defs
-                ~on_event:(fun e ->
-                  match e with
-                  | Trace.Event.Header _ -> ()
-                  | Trace.Event.Learned l ->
-                    Array.iter add_use l.sources;
-                    tasks_rev :=
-                      {
-                        id = l.id;
-                        sources = l.sources;
-                        seq = !seq;
-                        words = 2 + Array.length l.sources;
-                      }
-                      :: !tasks_rev;
-                    incr seq
-                  | Trace.Event.Level0 v -> add_use v.ante
-                  | Trace.Event.Final_conflict id -> add_use id
-                  | Trace.Event.Delete _ -> ())
-                src))
-    in
-    let conf_id =
-      match pass.Proof.Kernel.final_conflict with
-      | Some id -> id
-      | None -> Diagnostics.fail Diagnostics.Missing_final_conflict
-    in
-    (* cut the stream into windows and bucket each window's tasks into
-       wavefronts by their window-local level (sources from earlier
-       windows are committed before the window starts, hence level 0) *)
-    let tasks = Array.of_list (List.rev !tasks_rev) in
-    let n_tasks = Array.length tasks in
-    let fronts_rev = ref [] in
-    let llevel = Hashtbl.create 256 in
-    let start = ref 0 in
-    while !start < n_tasks do
-      let stop = min n_tasks (!start + window) in
-      Hashtbl.reset llevel;
-      let depth = ref 0 in
-      for i = !start to stop - 1 do
-        let t = tasks.(i) in
-        let l =
-          1
-          + Array.fold_left
-              (fun acc s ->
-                match Hashtbl.find_opt llevel s with
-                | Some ls -> max acc ls
-                | None -> acc)
-              0 t.sources
-        in
-        Hashtbl.replace llevel t.id l;
-        if l > !depth then depth := l
-      done;
-      let buckets = Array.make !depth [] in
-      for i = stop - 1 downto !start do
-        let t = tasks.(i) in
-        let l = Hashtbl.find llevel t.id in
-        buckets.(l - 1) <- t :: buckets.(l - 1)
-      done;
-      Array.iter (fun b -> fronts_rev := Array.of_list b :: !fronts_rev) buckets;
-      start := stop
+  let total_learned, conf_id = Forward.conclude fw in
+  (* cut the stream into windows and bucket each window's tasks into
+     wavefronts by their window-local level (sources from earlier
+     windows are committed before the window starts, hence level 0) *)
+  let tasks = Array.of_list (List.rev !tasks_rev) in
+  let n_tasks = Array.length tasks in
+  let fronts_rev = ref [] in
+  let llevel = Hashtbl.create 256 in
+  let start = ref 0 in
+  while !start < n_tasks do
+    let stop = min n_tasks (!start + window) in
+    Hashtbl.reset llevel;
+    let depth = ref 0 in
+    for i = !start to stop - 1 do
+      let t = tasks.(i) in
+      let l =
+        1
+        + Array.fold_left
+            (fun acc s ->
+              match Hashtbl.find_opt llevel s with
+              | Some ls -> max acc ls
+              | None -> acc)
+            0 t.sources
+      in
+      Hashtbl.replace llevel t.id l;
+      if l > !depth then depth := l
     done;
-    let fronts = Array.of_list (List.rev !fronts_rev) in
-    let max_width =
-      Array.fold_left (fun acc f -> max acc (Array.length f)) 0 fronts
-    in
-    let min_fail = ref None in
-    let min_fail_seq = ref max_int in
-    let record_failure t f =
-      if t.seq < !min_fail_seq then begin
-        min_fail := Some f;
-        min_fail_seq := t.seq
-      end
-    in
-    (* the single-threaded barrier commit: stream order within the
-       wavefront, mirroring BF's define-then-release per learned clause *)
-    let db = Proof.Kernel.db kernel in
-    let commit tasks results =
-      Array.iteri
-        (fun i t ->
-          match results.(i) with
-          | Skipped -> ()
-          | Fail f -> record_failure t f
-          | Single ->
-            if t.seq < !min_fail_seq then begin
-              let h = Proof.Kernel.find kernel ~context t.sources.(0) in
-              Proof.Kernel.record_external_chain kernel ~learned_id:t.id
-                ~steps:0 ~merges:0;
-              if get_count t.id > 0 then begin
-                Proof.Clause_db.retain db h;
-                Proof.Kernel.define kernel t.id h
-              end;
-              Array.iter release_one_use t.sources
-            end
-          | Clause { lits; steps; merges } ->
-            if t.seq < !min_fail_seq then begin
-              let h = Proof.Clause_db.alloc_sorted db lits (Array.length lits) in
-              Proof.Kernel.record_external_chain kernel ~learned_id:t.id
-                ~steps ~merges;
-              if get_count t.id > 0 then Proof.Kernel.define kernel t.id h
-              else Proof.Clause_db.release db h;
-              Array.iter release_one_use t.sources
-            end)
-        tasks;
-      Harness.Meter.free meter
-        (Array.fold_left (fun acc t -> acc + t.words) 0 tasks)
-    in
-    (* materialise the originals a wavefront resolves against before its
-       workers start, so the store is strictly read-only while they run *)
-    let materialise_originals tasks =
-      Array.iter
-        (fun t ->
-          Array.iter
-            (fun s ->
-              if
-                Proof.Kernel.is_original kernel s
-                && Proof.Kernel.peek kernel s = None
-              then ignore (Proof.Kernel.find kernel ~context s))
-            t.sources)
-        tasks
-    in
-    let pool = make_pool db in
-    let shards = Array.init jobs (fun _ -> Obs.Metrics.shard ()) in
-    let domains =
-      if jobs > 1 && Array.length fronts > 0 then
-        List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
-      else []
-    in
-    let inline_scratch = make_scratch () in
-    let (), pass_two_seconds =
-      Harness.Timer.wall_time (fun () ->
-          Obs.Span.scope ~cat:"par" "check.pass_two" @@ fun () ->
-          Fun.protect
-            ~finally:(fun () -> shutdown pool domains)
-            (fun () ->
-              Array.iter
-                (fun front ->
-                  let width = Array.length front in
-                  let sp =
-                    Obs.Span.enter ~cat:"par"
-                      ~args:[ ("width", width) ] "check.wavefront"
-                  in
-                  materialise_originals front;
-                  (* freeze after materialisation: the view must cover
-                     every original this wavefront resolves against, and
-                     any relocation the materialisation caused *)
-                  let view = Proof.Clause_db.freeze db in
-                  let results = Array.make width Skipped in
-                  if domains = [] then
-                    Array.iteri
-                      (fun i t ->
-                        results.(i) <-
-                          (if t.seq >= !min_fail_seq then Skipped
-                           else run_task kernel view inline_scratch t))
-                      front
-                  else begin
-                    dispatch pool front results ~view ~limit_seq:!min_fail_seq
-                      ~jobs;
-                    (* [dispatch] returning is the barrier: every worker is
-                       idle again, so folding the shards races with no one *)
-                    if Obs.Ctl.on () then
-                      Array.iter
-                        (Obs.Metrics.merge_shard Obs.Metrics.global)
-                        shards;
-                    match pool.crashed with
-                    | Some e -> raise e
-                    | None -> ()
-                  end;
-                  commit front results;
-                  if Obs.Ctl.on () then begin
-                    Obs.Metrics.Counter.incr m_fronts 1;
-                    Obs.Metrics.Histogram.observe m_width width;
-                    Obs.Sampler.tick ()
-                  end;
-                  if Obs.Journal.on () then
-                    Obs.Journal.record ~sub:"par" "wavefront"
-                      [ ("width", width); ("jobs", jobs) ];
-                  Obs.Span.leave sp)
-                fronts;
-              match !min_fail with
-              | Some f -> Diagnostics.fail f
-              | None ->
-                let fetch id =
-                  Proof.Kernel.find kernel
-                    ~context:"empty-clause construction" id
-                in
-                let (_ : int) =
-                  Proof.Kernel.final_chain_ids kernel ~l0 ~fetch
-                    ~conflict_id:conf_id
-                in
-                ()))
-    in
-    let c = Proof.Kernel.counters kernel in
-    Ok {
-      Report.clauses_built = c.Proof.Kernel.clauses_built;
-      total_learned = pass.Proof.Kernel.total_learned;
-      resolution_steps = c.Proof.Kernel.resolution_steps;
-      core_original_ids = [];
-      learned_built_ids = Proof.Kernel.built_ids kernel;
-      core_vars = 0;
-      peak_mem_words = Harness.Meter.peak_words meter;
-      peak_live_clauses = c.Proof.Kernel.peak_live_clauses;
-      arena_bytes_resident = c.Proof.Kernel.arena_peak_bytes;
-      jobs;
-      wavefronts = Array.length fronts;
-      max_wavefront_width = max_width;
-      pass_one_seconds;
-      pass_two_seconds;
-    }
-  with
-  | Diagnostics.Check_failed f -> Error f
-  | Trace.Reader.Parse_error { pos; msg } ->
-    Error (Diagnostics.of_parse_error ~pos msg)
+    let buckets = Array.make !depth [] in
+    for i = stop - 1 downto !start do
+      let t = tasks.(i) in
+      let l = Hashtbl.find llevel t.id in
+      buckets.(l - 1) <- t :: buckets.(l - 1)
+    done;
+    Array.iter (fun b -> fronts_rev := Array.of_list b :: !fronts_rev) buckets;
+    start := stop
+  done;
+  let fronts = Array.of_list (List.rev !fronts_rev) in
+  let max_width =
+    Array.fold_left (fun acc f -> max acc (Array.length f)) 0 fronts
+  in
+  let min_fail = ref None in
+  let min_fail_seq = ref max_int in
+  let record_failure t f =
+    if t.seq < !min_fail_seq then begin
+      min_fail := Some f;
+      min_fail_seq := t.seq
+    end
+  in
+  (* the single-threaded barrier commit: stream order within the
+     wavefront, through the forward replay's define-then-release *)
+  let db = Proof.Kernel.db kernel in
+  let commit tasks results =
+    Array.iteri
+      (fun i t ->
+        match results.(i) with
+        | Skipped -> ()
+        | Fail f -> record_failure t f
+        | Single | Clause _ when t.seq >= !min_fail_seq -> ()
+        | Single ->
+          (* a one-source chain aliases its source *)
+          let h = Proof.Kernel.find kernel ~context t.sources.(0) in
+          Proof.Kernel.record_external_chain kernel ~learned_id:t.id ~steps:0
+            ~merges:0;
+          Proof.Clause_db.retain db h;
+          Forward.commit fw p ~id:t.id ~sources:t.sources h
+        | Clause { lits; steps; merges } ->
+          let h = Proof.Clause_db.alloc_sorted db lits (Array.length lits) in
+          Proof.Kernel.record_external_chain kernel ~learned_id:t.id ~steps
+            ~merges;
+          Forward.commit fw p ~id:t.id ~sources:t.sources h)
+      tasks;
+    Harness.Meter.free (Proof.Kernel.meter kernel)
+      (Array.fold_left (fun acc t -> acc + t.words) 0 tasks)
+  in
+  (* materialise the originals a wavefront resolves against before its
+     workers start, so the store is strictly read-only while they run *)
+  let materialise_originals tasks =
+    Array.iter
+      (fun t ->
+        Array.iter
+          (fun s ->
+            if
+              Proof.Kernel.is_original kernel s
+              && Proof.Kernel.peek kernel s = None
+            then ignore (Proof.Kernel.find kernel ~context s))
+          t.sources)
+      tasks
+  in
+  let pool = make_pool db in
+  let shards = Array.init jobs (fun _ -> Obs.Metrics.shard ()) in
+  let domains =
+    if jobs > 1 && Array.length fronts > 0 then
+      List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
+    else []
+  in
+  let inline_scratch = make_scratch () in
+  let (), pass_two_seconds =
+    Forward.timed ~cat:"par" "check.pass_two" @@ fun () ->
+    Fun.protect
+      ~finally:(fun () -> shutdown pool domains)
+      (fun () ->
+        Array.iter
+          (fun front ->
+            let width = Array.length front in
+            let sp =
+              Obs.Span.enter ~cat:"par"
+                ~args:[ ("width", width) ] "check.wavefront"
+            in
+            materialise_originals front;
+            (* freeze after materialisation: the view must cover every
+               original this wavefront resolves against, and any
+               relocation the materialisation caused *)
+            let view = Proof.Clause_db.freeze db in
+            let results = Array.make width Skipped in
+            if domains = [] then
+              Array.iteri
+                (fun i t ->
+                  results.(i) <-
+                    (if t.seq >= !min_fail_seq then Skipped
+                     else run_task kernel view inline_scratch t))
+                front
+            else begin
+              dispatch pool front results ~view ~limit_seq:!min_fail_seq ~jobs;
+              (* [dispatch] returning is the barrier: every worker is idle
+                 again, so folding the shards races with no one *)
+              if Obs.Ctl.on () then
+                Array.iter (Obs.Metrics.merge_shard Obs.Metrics.global) shards;
+              Option.iter raise pool.crashed
+            end;
+            commit front results;
+            if Obs.Ctl.on () then begin
+              Obs.Metrics.Counter.incr m_fronts 1;
+              Obs.Metrics.Histogram.observe m_width width;
+              Obs.Sampler.tick ()
+            end;
+            if Obs.Journal.on () then
+              Obs.Journal.record ~sub:"par" "wavefront"
+                [ ("width", width); ("jobs", jobs) ];
+            Obs.Span.leave sp)
+          fronts;
+        Option.iter Diagnostics.fail !min_fail;
+        ignore (Forward.final fw p conf_id : int))
+  in
+  Forward.report kernel ~jobs ~wavefronts:(Array.length fronts)
+    ~max_wavefront_width:max_width ~total_learned ~pass_one_seconds
+    ~pass_two_seconds

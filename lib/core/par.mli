@@ -1,33 +1,17 @@
-(** Parallel breadth-first checker: the §3.3 two-pass discipline with
-    pass two scheduled as topological wavefronts across OCaml domains.
+(** Parallel checker: the {!Forward} replay of {!Bf} scheduled as
+    topological wavefronts across OCaml domains.  Pass one also keeps
+    every resolve-source list (charged to the meter until its wavefront
+    commits).  Within stream windows of [window] records, each record's
+    level is [1 + max (level of its sources)] (sources from earlier
+    windows count as level 0), so one wavefront's chains are independent:
+    worker domains replay them through {!Proof.Kernel.resolve_ro} against
+    a frozen store view, and at each barrier the main thread alone
+    commits the results in stream order through {!Forward.commit}.
 
-    Pass one is the sequential counting/validation pass, additionally
-    labelling every learned clause with its level —
-    [1 + max (level of sources)], originals at level 0 — so all chains in
-    one wavefront are mutually independent.  Pass two dispatches each
-    wavefront's resolution chains to a fixed pool of worker domains
-    (stdlib [Domain]/[Mutex]/[Condition], chunked work queue); workers
-    replay chains through {!Proof.Kernel.resolve_arrays} into per-domain
-    scratch while the shared clause store is read-only.  At each
-    wavefront barrier the main thread alone commits results in stream
-    order — allocation, use-count definition/release and counter updates
-    all stay single-threaded and deterministic.
-
-    Verdicts, unsat cores (empty, as for BF) and failure diagnostics are
-    bit-identical to {!Bf.check} at every job count: a failing run
-    reports the minimum-stream-index failure, which is exactly the first
-    failure sequential BF stops at.
-
-    Wavefronts are levelled {e within stream windows} of [window] learned
-    clauses rather than globally: global levelling would build level-1
-    clauses from the whole trace before releasing anything, inflating the
-    live window several-fold, while window-local levelling pins the live
-    set to sequential BF's at every window boundary.  Peak live clauses
-    therefore stay within one window's delayed releases of BF's.
-
-    Memory is that BF-like live window plus the resolve-source lists,
-    which — unlike BF, which re-reads them from the trace — must be held
-    (and are charged to the meter) until their wavefront commits. *)
+    Window-local levelling keeps the live set equal to sequential BF's at
+    every window boundary.  A failing run reports the failure with the
+    smallest stream index, exactly the one {!Bf.check} stops at, so
+    verdicts and diagnostics are identical at every job count. *)
 
 (** [check ?meter ?jobs ?window formula source] checks the trace with
     [jobs] worker domains ([jobs = 1], the default, replays inline on the

@@ -17,8 +17,7 @@ type t = {
           DF by-product) *)
   learned_built_ids : int list;
       (** IDs of the learned clauses the checker constructed — for the
-          depth-first checker this is exactly the proof-relevant set,
-          which {!Trim} persists as a trimmed trace *)
+          depth-first checker this is exactly the proof-relevant set *)
   core_vars : int;
       (** distinct variables among the core clauses *)
   peak_mem_words : int;

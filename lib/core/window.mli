@@ -1,19 +1,10 @@
-(** Window-shifting breadth-first checking.
-
-    Breadth-first's counting pass followed by a windowed reconstruction
-    pass: learned records are processed in windows of a configured size,
-    and when a window fills every clause still alive is evicted from
-    the arena — learned clauses spill byte-for-byte through a frozen
-    arena view ({!Proof.Clause_db.freeze}) into a temp file, originals
-    simply drop (the formula backs them).  Later references reload the
-    clause transiently for the one chain that needs it, so the arena
-    never holds more than the window size in learned clauses plus one
-    chain's operands.
-
-    The schedule is invisible to the checker proper: verdicts, cores
-    (empty), built sets, resolution step counts and diagnostics are
-    identical to {!Bf.check} on every trace.  Deletion-hinted traces
-    (format version 2) are refused like every non-hinted strategy. *)
+(** Window-shifting checker: the {!Forward} replay of {!Bf} that also
+    evicts the arena every [window] learned records.  Live learned clauses
+    spill through a frozen view ({!Proof.Clause_db.freeze}) to a temp file
+    and reload transiently for the one chain that needs them; materialised
+    originals simply drop.  The arena never holds more than [window]
+    learned clauses plus one chain's operands, and everything the checker
+    reports is identical to {!Bf.check}. *)
 
 (** Per-run scheduler counters, also exported as the
     [window.resident_clauses] / [window.spilled_clauses] gauges. *)

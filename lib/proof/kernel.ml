@@ -174,96 +174,16 @@ let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
   Clause_db.release t.db h2;
   (out, pivot)
 
-(* --- re-entrant scratch resolution -------------------------------------- *)
+(* --- re-entrant frozen-view resolution ---------------------------------- *)
 
-(* The same checked resolution as {!resolve}, but on caller-owned literal
-   arrays: no kernel counters, no shared-arena allocation, no mutable
-   kernel state at all.  The parallel checker's worker domains run whole
-   chains through this while the shared store is read-only, and commit
-   the results (and the counter deltas) at the wavefront barrier. *)
-
-let clashing_vars_arrays a na b nb =
-  let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask c n r =
-    let v = Sat.Lit.var c.(!r) in
-    let m = ref 0 in
-    while !r < n && Sat.Lit.var c.(!r) = v do
-      m := !m lor phase_bit c.(!r);
-      incr r
-    done;
-    (v, !m)
-  in
-  while !i < na && !j < nb do
-    let v1 = Sat.Lit.var a.(!i) and v2 = Sat.Lit.var b.(!j) in
-    if v1 < v2 then ignore (var_mask a na i)
-    else if v2 < v1 then ignore (var_mask b nb j)
-    else begin
-      let _, m1 = var_mask a na i in
-      let _, m2 = var_mask b nb j in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
-(* [resolve_arrays ~context ~c1_id ~c2_id a na b nb out] resolves the
-   sorted duplicate-free runs [a.(0..na-1)] and [b.(0..nb-1)] into [out]
-   (capacity at least [na + nb]) and returns
-   [(resolvent length, pivot, merged literal count)].  Raises the same
-   diagnostics as {!resolve}. *)
-let resolve_arrays ~context ~c1_id ~c2_id a na b nb out =
-  let pivot =
-    match clashing_vars_arrays a na b nb with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           { context; c1_id; c2_id; c1 = Array.sub a 0 na; c2 = Array.sub b 0 nb })
-    | vars ->
-      Diagnostics.fail (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let merges = ref 0 in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
-      incr k
-    end
-  in
-  while !i < na && !j < nb do
-    let l1 = a.(!i) and l2 = b.(!j) in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then incr merges;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < na do
-    emit a.(!i);
-    incr i
-  done;
-  while !j < nb do
-    emit b.(!j);
-    incr j
-  done;
-  (!k, pivot, !merges)
-
-(* --- frozen-view resolution --------------------------------------------- *)
-
-(* The same checked resolution again, with the second operand read in
-   place from a {!Clause_db.ro} view instead of a scratch copy.  This is
-   the zero-copy half of the wavefront workers' hot loop: the running
-   resolvent lives in domain-local scratch, every store operand stays in
-   the shared arena. *)
+(* The same checked resolution as {!resolve}, with the first operand in a
+   caller-owned literal array and the second read in place from a
+   {!Clause_db.ro} view: no kernel counters, no shared-arena allocation,
+   no mutable kernel state at all.  The parallel checker's worker domains
+   run whole chains through this while the shared store is read-only, and
+   commit the results (and the counter deltas) at the wavefront barrier.
+   The running resolvent lives in domain-local scratch; every store
+   operand stays in the shared arena. *)
 
 let clashing_vars_ro a na ro h2 nb =
   let clashes = ref [] in
@@ -359,10 +279,6 @@ let resolve_ro ~context ~c1_id ~c2_id a na ro h2 out =
    never mutates — the only table access worker domains are allowed. *)
 let peek t id = Hashtbl.find_opt t.handles id
 
-(* [record_external_chain t ~learned_id ~steps ~merges] folds the counter
-   deltas of a chain performed outside the kernel (through
-   {!resolve_arrays}) into the kernel's totals, so reports agree exactly
-   with a sequential run.  Single-threaded: call only at a barrier. *)
 (* One telemetry update per completed chain: counters for the chain and
    its resolution steps, live gauges for the arena, and a sampler tick. *)
 let observe_chain t ~nsources ~steps =
@@ -376,6 +292,10 @@ let observe_chain t ~nsources ~steps =
     Obs.Sampler.tick ()
   end
 
+(* [record_external_chain t ~learned_id ~steps ~merges] folds the counter
+   deltas of a chain performed outside the kernel (through
+   {!resolve_ro}) into the kernel's totals, so reports agree exactly
+   with a sequential run.  Single-threaded: call only at a barrier. *)
 let record_external_chain t ~learned_id ~steps ~merges =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
@@ -541,40 +461,27 @@ let stream_pass t ?stream_order ?l0 ?charge ?on_event src =
 
 type proof = {
   sources : (int, int array) Hashtbl.t;
-  defs : (int * int array) array;
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
-  mutable defs_words : int;
 }
 
 let load t ?(stream_order = false) ?(charge = `None) src =
   let sources = Hashtbl.create 1024 in
-  let defs = ref [] in
-  let defs_words = ref 0 in
   let l0 = Level0.create () in
   let pass =
     stream_pass t ~stream_order ~l0 ~charge
       ~on_event:(function
-        | Trace.Event.Learned l ->
-          Hashtbl.replace sources l.id l.sources;
-          defs := (l.id, l.sources) :: !defs;
-          defs_words := !defs_words + 2 + Array.length l.sources
+        | Trace.Event.Learned l -> Hashtbl.replace sources l.id l.sources
         | _ -> ())
       src
   in
   {
     sources;
-    defs = Array.of_list (List.rev !defs);
     l0;
     final_conflict = pass.final_conflict;
     total_learned = pass.total_learned;
-    defs_words = !defs_words;
   }
-
-let free_defs t proof =
-  Harness.Meter.free t.meter proof.defs_words;
-  proof.defs_words <- 0
 
 (* --- recursive traversal ------------------------------------------------ *)
 

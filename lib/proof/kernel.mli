@@ -78,34 +78,19 @@ val resolve_lits :
 (** {2 Re-entrant scratch resolution}
 
     The parallel checker's worker domains replay resolution chains while
-    the shared store is read-only; these entry points touch no kernel
-    state, so any number of domains may run them concurrently. *)
+    the shared store is read-only; this entry point touches no kernel
+    state, so any number of domains may run it concurrently. *)
 
-(** [resolve_arrays ~context ~c1_id ~c2_id a na b nb out] is the same
+(** [resolve_ro ~context ~c1_id ~c2_id a na ro h2 out] is the same
     checked resolution as {!resolve}, on the sorted duplicate-free packed
-    literal runs [a.(0..na-1)] and [b.(0..nb-1)], writing the resolvent
-    into the caller-owned [out] (capacity at least [na + nb]).  Returns
-    [(resolvent length, pivot, merged literal count)]; updates no
+    literal run [a.(0..na-1)] and the clause [h2] read in place from the
+    frozen store view [ro], writing the resolvent into the caller-owned
+    [out] (capacity at least [na] plus the size of [h2]) — worker domains
+    resolve against shared clauses with zero per-operand copying.
+    Returns [(resolvent length, pivot, merged literal count)]; updates no
     counters and allocates nothing in any shared arena.
     @raise Diagnostics.Check_failed with [No_clash] or [Multiple_clash]
     when the side condition fails. *)
-val resolve_arrays :
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  int array ->
-  int ->
-  int array ->
-  int ->
-  int array ->
-  int * Sat.Lit.var * int
-
-(** [resolve_ro ~context ~c1_id ~c2_id a na ro h2 out] is
-    {!resolve_arrays} with the second operand read in place from the
-    frozen store view [ro] (handle [h2]) instead of a caller copy —
-    worker domains resolve against shared clauses with zero per-operand
-    copying.  Same result, counters and diagnostics as copying the
-    clause out first. *)
 val resolve_ro :
   context:string ->
   c1_id:int ->
@@ -124,7 +109,7 @@ val peek : t -> int -> Clause_db.handle option
 
 (** [record_external_chain t ~learned_id ~steps ~merges] folds the
     counter deltas of one learned-clause chain performed through
-    {!resolve_arrays} into the kernel totals (one built clause, [steps]
+    {!resolve_ro} into the kernel totals (one built clause, [steps]
     resolutions, [merges] merged literals), keeping reports identical to
     a sequential run.  Single-threaded: call only at a barrier. *)
 val record_external_chain :
@@ -210,16 +195,14 @@ val stream_pass :
   Trace.Source.t ->
   pass
 
-(** A fully loaded proof skeleton: resolve-source lists, level-0 records,
-    definition order — what the depth-first and hybrid checkers keep in
+(** A fully loaded proof skeleton: resolve-source lists and level-0
+    records — what the depth-first checker and the interpolator keep in
     memory. *)
 type proof = {
   sources : (int, int array) Hashtbl.t;
-  defs : (int * int array) array;  (** stream order *)
   l0 : Level0.t;
   final_conflict : int option;
   total_learned : int;
-  mutable defs_words : int;        (** meter words held by the defs *)
 }
 
 val load :
@@ -228,13 +211,6 @@ val load :
   ?charge:residency ->
   Trace.Source.t ->
   proof
-
-(** [free_defs t proof] credits the meter for the proof's source lists
-    (the hybrid releases them after its reverse marking sweep). *)
-val free_defs : t -> proof -> unit
-
-(** [residency_words e] is the trace-residency charge of one event. *)
-val residency_words : Trace.Event.t -> int
 
 (** {2 Recursive traversal (depth-first style)} *)
 

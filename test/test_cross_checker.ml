@@ -154,6 +154,157 @@ let test_fuzzed_agreement () = fuzzed_agreement ~pre:false ~seed:424242 ~target:
 let test_fuzzed_agreement_pre () =
   fuzzed_agreement ~pre:true ~seed:424243 ~target:30 ()
 
+(* --- the rejection half ---------------------------------------------------- *)
+
+(* Each corruption of a php_4 trace must be refused identically by every
+   forward policy: hint (on the version-1 trace), window at every size and
+   par at every job count return a failure structurally equal to BF's,
+   and the hybrid rejects too.  Hint names its own reconstruction in
+   chain diagnostics, so its expected failure is BF's with that one
+   context string swapped. *)
+
+let with_context context (d : Checker.Diagnostics.failure) =
+  let swap c = if c = "breadth-first reconstruction" then context else c in
+  match d with
+  | No_clash r -> Checker.Diagnostics.No_clash { r with context = swap r.context }
+  | Multiple_clash r ->
+    Checker.Diagnostics.Multiple_clash { r with context = swap r.context }
+  | Unknown_clause r ->
+    Checker.Diagnostics.Unknown_clause { r with context = swap r.context }
+  | d -> d
+
+(* the literals of every clause the valid trace defines, by id *)
+let clause_table f events =
+  let k = Proof.Kernel.create f in
+  let context = "test replay" in
+  let lits = Hashtbl.create 256 in
+  for id = 1 to Sat.Cnf.nclauses f do
+    Hashtbl.replace lits id
+      (Proof.Clause_db.lits (Proof.Kernel.db k) (Proof.Kernel.find k ~context id))
+  done;
+  List.iter
+    (function
+      | Trace.Event.Learned { id; sources } ->
+        let h =
+          Proof.Kernel.chain_ids k ~context
+            ~fetch:(Proof.Kernel.find k ~context)
+            ~learned_id:id sources
+        in
+        Proof.Kernel.define k id h;
+        Hashtbl.replace lits id (Proof.Clause_db.lits (Proof.Kernel.db k) h)
+      | _ -> ())
+    events;
+  lits
+
+let clashes a b =
+  Array.fold_left
+    (fun n l -> if Array.mem (Sat.Lit.negate l) b then n + 1 else n)
+    0 a
+
+let corruptions () =
+  let f, events = Helpers.unsat_with_events () in
+  let learned =
+    List.filter_map
+      (function Trace.Event.Learned { id; sources } -> Some (id, sources) | _ -> None)
+      events
+  in
+  let last_id = fst (List.nth learned (List.length learned - 1)) in
+  (* the victim: the last record the proof really needs that has a later
+     record to reference forward *)
+  let needed =
+    match Checker.Df.check f (Helpers.events_to_source events) with
+    | Ok r -> r.Checker.Report.learned_built_ids
+    | Error d ->
+      Alcotest.failf "df rejected the valid trace: %s"
+        (Checker.Diagnostics.to_string d)
+  in
+  let victim, victim_sources =
+    List.find
+      (fun (id, _) -> id <> last_id && List.mem id needed)
+      (List.rev learned)
+  in
+  let with_sources sources =
+    List.map
+      (function
+        | Trace.Event.Learned { id; _ } when id = victim ->
+          Trace.Event.Learned { id; sources }
+        | e -> e)
+      events
+  in
+  (* two clauses defined before the victim that clash on two variables *)
+  let multi =
+    let lits = clause_table f events in
+    let before =
+      List.init (Sat.Cnf.nclauses f) (fun i -> i + 1)
+      @ List.filter_map
+          (fun (id, _) -> if id < victim then Some id else None)
+          learned
+    in
+    let pair =
+      List.find_map
+        (fun a ->
+          List.find_map
+            (fun b ->
+              if clashes (Hashtbl.find lits a) (Hashtbl.find lits b) >= 2 then
+                Some [| a; b |]
+              else None)
+            before)
+        before
+    in
+    match pair with
+    | Some p -> p
+    | None -> Alcotest.fail "no multiple-clash pair before the victim"
+  in
+  [
+    ("dangling source", with_sources [| victim_sources.(0); 1_000_000 |]);
+    ("no-clash pair", with_sources [| victim_sources.(0); victim_sources.(0) |]);
+    ("multiple-clash pair", with_sources multi);
+    ("forward reference", with_sources [| victim_sources.(0); last_id |]);
+    ( "missing final conflict",
+      List.filter
+        (function Trace.Event.Final_conflict _ -> false | _ -> true)
+        events );
+    ( "final literal not false",
+      List.map
+        (function
+          | Trace.Event.Level0 v -> Trace.Event.Level0 { v with value = not v.value }
+          | e -> e)
+        events );
+  ]
+  |> List.map (fun (name, events) -> (name, f, Helpers.events_to_source events))
+
+let test_rejection_matrix () =
+  List.iter
+    (fun (name, f, src) ->
+      let refused who = function
+        | Ok _ -> Alcotest.failf "%s: %s accepted the corrupted trace" name who
+        | Error d -> d
+      in
+      let bf = refused "BF" (Checker.Bf.check f src) in
+      let same who expected r =
+        let d = refused who r in
+        if d <> expected then
+          Alcotest.failf "%s: %s fails with %s, BF with %s" name who
+            (Checker.Diagnostics.to_string d)
+            (Checker.Diagnostics.to_string expected)
+      in
+      same "hint"
+        (with_context "hinted one-pass reconstruction" bf)
+        (Checker.Hint.check f src);
+      List.iter
+        (fun window ->
+          same
+            (Printf.sprintf "window %d" window)
+            bf
+            (Checker.Window.check ~window f src))
+        [ 1; 7; max_int ];
+      List.iter
+        (fun jobs ->
+          same (Printf.sprintf "par j%d" jobs) bf (Checker.Par.check ~jobs f src))
+        [ 1; 2; 4 ];
+      ignore (refused "hybrid" (Checker.Hybrid.check f src)))
+    (corruptions ())
+
 let suite =
   [
     ( module_name,
@@ -161,5 +312,6 @@ let suite =
         Alcotest.test_case "fuzzed agreement x50" `Quick test_fuzzed_agreement;
         Alcotest.test_case "fuzzed agreement x30 (pre)" `Quick
           test_fuzzed_agreement_pre;
+        Alcotest.test_case "rejection matrix" `Quick test_rejection_matrix;
       ] );
   ]

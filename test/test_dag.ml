@@ -238,6 +238,32 @@ let test_trim_php5 () =
       (List.sort compare df.Checker.Report.learned_built_ids)
       (learned_ids trimmed)
 
+(* The static trimmer's output revalidates: depth-first builds all of it
+   (built% = 100), breadth-first and the hybrid accept it. *)
+let test_trim_revalidates () =
+  let f = Gen.Php.unsat ~holes:5 in
+  let stats, _, trimmed = trim_str (solve_unsat_trace f) in
+  let src = Trace.Reader.From_string trimmed in
+  let ok name = function
+    | Ok r -> r
+    | Error d ->
+      Alcotest.failf "trimmed trace %s-rejected: %s" name
+        (Checker.Diagnostics.to_string d)
+  in
+  let df = ok "DF" (Checker.Df.check f src) in
+  Alcotest.check Alcotest.int "kept = total learned after trim"
+    stats.G.kept_learned df.Checker.Report.total_learned;
+  Alcotest.check Alcotest.int "built% is 100%" df.Checker.Report.total_learned
+    df.Checker.Report.clauses_built;
+  ignore (ok "BF" (Checker.Bf.check f src) : Checker.Report.t);
+  ignore (ok "hybrid" (Checker.Hybrid.check f src) : Checker.Report.t)
+
+let test_trim_shrinks_bytes () =
+  let trace = solve_unsat_trace (Gen.Php.unsat ~holes:5) in
+  let _, _, trimmed = trim_str trace in
+  Alcotest.check Alcotest.bool "serialised trim is smaller" true
+    (String.length trimmed < String.length trace)
+
 (* --- verdict and core identity across every strategy -------------------- *)
 
 (* The fifth "strategy" is the online ingest path: pass one pushed
@@ -435,5 +461,10 @@ let suite =
         Alcotest.test_case "fuzzed trim properties x15" `Quick
           test_trim_properties_fuzzed;
         tc "table-bytes gauge is id-proportional" test_table_bytes_gauge;
+      ] );
+    ( "trim",
+      [
+        tc "revalidates, built%=100" test_trim_revalidates;
+        tc "shrinks bytes" test_trim_shrinks_bytes;
       ] );
   ]
