@@ -1,7 +1,7 @@
 (* Wavefront scheduling of the forward replay.  Pass one is breadth-first's
    counting pass, also keeping every record as a task.  Pass two replays
    one wavefront at a time: worker domains pull chunks of its chains off a
-   shared queue and resolve them through {!Proof.Kernel.resolve_ro}
+   shared queue and resolve them through {!Proof.Kernel.resolve}
    against a store view frozen at dispatch, while the store itself stays
    read-only.  At the barrier the main thread alone commits every result
    in stream order through {!Forward.commit}, so verdicts and diagnostics
@@ -24,22 +24,20 @@ type task = {
 
 type outcome =
   | Single  (* one-source chain: the learned clause aliases its source *)
-  | Clause of { lits : int array; steps : int; merges : int }
+  | Clause of { lits : Proof.Clause_db.region; steps : int; merges : int }
   | Fail of Diagnostics.failure
   | Skipped
 
 (* Domain-local scratch: the running resolvent ping-pongs between [cur]
-   and [out].  Store operands are no longer staged here — they are read
-   in place from the wavefront's frozen view.  Nothing here is shared. *)
+   and [out].  Store operands are read in place from the wavefront's
+   frozen view.  Nothing here is shared. *)
 type scratch = {
-  mutable cur : int array;
-  mutable out : int array;
+  mutable cur : Proof.Clause_db.region;
+  mutable out : Proof.Clause_db.region;
 }
 
-let make_scratch () = { cur = Array.make 64 0; out = Array.make 64 0 }
-
-let grown a n =
-  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+let make_scratch () =
+  { cur = Proof.Clause_db.make_region 64; out = Proof.Clause_db.make_region 64 }
 
 (* BF uses this context string for every chain failure; reusing it verbatim
    keeps parallel diagnostics bit-identical to sequential ones. *)
@@ -61,38 +59,40 @@ let peek_handle k id =
 
 (* Replay one learned clause's chain in scratch — the worker-side mirror
    of {!Proof.Kernel.chain}, including its [c1_id] convention:
-   intermediate resolvents belong to the learned id.  The first source is
-   copied once to seed the running resolvent; every other operand is read
-   in place from the frozen view. *)
+   intermediate resolvents belong to the learned id.  The first step reads
+   both sources in place from the frozen view; every later step resolves
+   the running resolvent in [sc.cur] against a view clause. *)
 let run_task k view sc t =
   let n = Array.length t.sources in
   if n = 1 then Single
   else
     try
-      let len =
-        ref
-          (let h = peek_handle k t.sources.(0) in
-           sc.cur <- grown sc.cur (Proof.Clause_db.ro_size view h);
-           Proof.Clause_db.ro_copy_lits view h sc.cur)
-      in
+      let store = Proof.Clause_db.ro_region view in
+      let h0 = peek_handle k t.sources.(0) in
+      let a = ref store and ai = ref (Proof.Clause_db.lits_offset h0) in
+      let len = ref (Proof.Clause_db.ro_size view h0) in
       let merges = ref 0 in
       let c1_id = ref t.sources.(0) in
       for i = 1 to n - 1 do
         let h = peek_handle k t.sources.(i) in
         let nb = Proof.Clause_db.ro_size view h in
-        sc.out <- grown sc.out (!len + nb);
+        sc.out <- Proof.Clause_db.ensure_region sc.out (!len + nb);
         let len', _pivot, m =
-          Proof.Kernel.resolve_ro ~context ~c1_id:!c1_id
-            ~c2_id:t.sources.(i) sc.cur !len view h sc.out
+          Proof.Kernel.resolve ~context ~c1_id:!c1_id ~c2_id:t.sources.(i) !a
+            !ai !len store (Proof.Clause_db.lits_offset h) nb sc.out
         in
         let tmp = sc.cur in
         sc.cur <- sc.out;
         sc.out <- tmp;
+        a := sc.cur;
+        ai := 0;
         len := len';
         merges := !merges + m;
         c1_id := t.id
       done;
-      Clause { lits = Array.sub sc.cur 0 !len; steps = n - 1; merges = !merges }
+      let lits = Proof.Clause_db.make_region !len in
+      Bigarray.Array1.blit (Bigarray.Array1.sub sc.cur 0 !len) lits;
+      Clause { lits; steps = n - 1; merges = !merges }
     with Diagnostics.Check_failed f -> Fail f
 
 (* --- the worker pool ---------------------------------------------------- *)
@@ -315,7 +315,9 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
           Proof.Clause_db.retain db h;
           Forward.commit fw p ~id:t.id ~sources:t.sources h
         | Clause { lits; steps; merges } ->
-          let h = Proof.Clause_db.alloc_sorted db lits (Array.length lits) in
+          let h =
+            Proof.Clause_db.alloc_sorted db lits (Bigarray.Array1.dim lits)
+          in
           Proof.Kernel.record_external_chain kernel ~learned_id:t.id ~steps
             ~merges;
           Forward.commit fw p ~id:t.id ~sources:t.sources h)

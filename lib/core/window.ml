@@ -37,7 +37,7 @@ type state = {
   live : (int, unit) Hashtbl.t;      (* learned ids resident in the arena *)
   orig_live : (int, unit) Hashtbl.t; (* originals materialised this window *)
   spill : spill;
-  mutable scratch : int array;
+  mutable scratch : Proof.Clause_db.region;  (* reload buffer *)
   mutable transients : Proof.Clause_db.handle list;
   mutable fill : int;       (* learned records in the current window *)
   mutable windows : int;
@@ -45,10 +45,6 @@ type state = {
   mutable reloaded : int;
   mutable max_resident : int;
 }
-
-let ensure_scratch st n =
-  if Array.length st.scratch < n then
-    st.scratch <- Array.make (max n (2 * Array.length st.scratch)) 0
 
 (* Shift the window: spill every live learned clause out through a frozen
    view, drop materialised originals (the formula backs them), and start
@@ -59,16 +55,16 @@ let boundary st =
   if Hashtbl.length st.live > 0 then begin
     let db = Proof.Kernel.db st.kernel in
     let ro = Proof.Clause_db.freeze db in
+    let region = Proof.Clause_db.ro_region ro in
     let ids = Hashtbl.fold (fun id () acc -> id :: acc) st.live [] in
     List.iter
       (fun id ->
         let h = Option.get (Proof.Kernel.peek st.kernel id) in
         let n = Proof.Clause_db.ro_size ro h in
-        ensure_scratch st n;
-        let n = Proof.Clause_db.ro_copy_lits ro h st.scratch in
+        let base = Proof.Clause_db.lits_offset h in
         let off = pos_out st.spill.oc in
         for i = 0 to n - 1 do
-          output_binary_int st.spill.oc st.scratch.(i)
+          output_binary_int st.spill.oc region.{base + i}
         done;
         Hashtbl.replace st.spill.index id (off, n);
         st.spilled <- st.spilled + 1;
@@ -93,10 +89,10 @@ let reload st ~context id =
   match Hashtbl.find_opt st.spill.index id with
   | None -> Proof.Kernel.find st.kernel ~context id (* raises Unknown_clause *)
   | Some (off, n) ->
-    ensure_scratch st n;
+    st.scratch <- Proof.Clause_db.ensure_region st.scratch n;
     seek_in st.spill.ic off;
     for i = 0 to n - 1 do
-      st.scratch.(i) <- input_binary_int st.spill.ic
+      st.scratch.{i} <- input_binary_int st.spill.ic
     done;
     st.reloaded <- st.reloaded + 1;
     if Obs.Journal.on () then
@@ -136,7 +132,7 @@ let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
       live = Hashtbl.create 256;
       orig_live = Hashtbl.create 256;
       spill = spill_create ();
-      scratch = Array.make 64 0;
+      scratch = Proof.Clause_db.make_region 64;
       transients = [];
       fill = 0;
       windows = 0;

@@ -5,15 +5,14 @@ exception Refcount_underflow of handle
 
 (* Debug guards: when enabled, API entry points verify the handle still
    holds a reference, and releasing past zero raises instead of silently
-   corrupting the freelist.  One flag read per clause-level operation (the
-   per-literal [lit] accessor stays unguarded — it sits in the resolution
-   kernel's innermost loop). *)
+   corrupting the freelist.  One flag read per clause-level operation;
+   per-literal reads through a {!region} stay unguarded — they sit in the
+   resolution kernel's innermost loop. *)
 let debug = ref false
 let set_debug b = debug := b
 let debug_enabled () = !debug
 
-type arena =
-  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type region = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* Per-clause layout at offset [h]:
      arena.{h}     length (also the slot's capacity)
@@ -26,7 +25,7 @@ let header_words = 2
 let clause_overhead = 3
 
 type t = {
-  mutable arena : arena;
+  mutable arena : region;
   mutable top : int;                    (* bump pointer *)
   freelist : (int, int list) Hashtbl.t; (* capacity -> free offsets *)
   meter : Harness.Meter.t;
@@ -37,7 +36,11 @@ type t = {
   mutable peak_resident : int;
 }
 
-let make_arena n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+let make_region n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+let ensure_region r n =
+  let cap = Bigarray.Array1.dim r in
+  if cap >= n then r else make_region (max n (2 * cap))
 
 (* Virtual address space is cheap on 64-bit hosts: one large reservation
    up front makes growth-by-relocation a cold path instead of a steady
@@ -59,9 +62,9 @@ let note_reserved words =
     Obs.Metrics.Gauge.set m_reserved (float_of_int (8 * words))
 
 let rec reserve_arena words =
-  if words <= min_reserve_words then make_arena min_reserve_words
+  if words <= min_reserve_words then make_region min_reserve_words
   else
-    match make_arena words with
+    match make_region words with
     | arena -> arena
     | exception Out_of_memory ->
       if Obs.Journal.on () then
@@ -98,7 +101,7 @@ let ensure_capacity db words =
     while db.top + words > !cap' do
       cap' := !cap' * 2
     done;
-    let arena' = make_arena !cap' in
+    let arena' = make_region !cap' in
     Bigarray.Array1.blit db.arena (Bigarray.Array1.sub arena' 0 cap);
     db.arena <- arena';
     if Obs.Journal.on () then
@@ -131,14 +134,19 @@ let account_alloc db n =
   db.resident <- db.resident + header_words + n;
   if db.resident > db.peak_resident then db.peak_resident <- db.resident
 
-let alloc_sorted db buf n =
+(* Reserve and account a slot for an [n]-literal clause with one
+   reference; the caller fills in the literals. *)
+let place db n =
   account_alloc db n;
   let h = slot db n in
   db.arena.{h} <- n;
   db.arena.{h + 1} <- 1;
-  for i = 0 to n - 1 do
-    db.arena.{h + header_words + i} <- buf.(i)
-  done;
+  h
+
+let alloc_sorted db r n =
+  let h = place db n in
+  Bigarray.Array1.blit (Bigarray.Array1.sub r 0 n)
+    (Bigarray.Array1.sub db.arena (h + header_words) n);
   h
 
 let alloc db c =
@@ -155,7 +163,11 @@ let alloc db c =
       incr k
     end
   done;
-  alloc_sorted db buf !k
+  let h = place db !k in
+  for i = 0 to !k - 1 do
+    db.arena.{h + header_words + i} <- buf.(i)
+  done;
+  h
 
 let check_live db h =
   if !debug && db.arena.{h + 1} <= 0 then raise (Use_after_free h)
@@ -164,26 +176,17 @@ let size db h =
   check_live db h;
   db.arena.{h}
 
-let lit db h i : Sat.Lit.t = db.arena.{h + header_words + i}
+let lits_offset h = h + header_words
 
 let lits db h =
   let n = size db h in
-  Array.init n (fun i -> lit db h i)
+  Array.init n (fun i -> db.arena.{h + header_words + i})
 
 let iter_lits db h f =
   let n = size db h in
   for i = 0 to n - 1 do
-    f (lit db h i)
+    f db.arena.{h + header_words + i}
   done
-
-let copy_lits db h dst =
-  let n = size db h in
-  if Array.length dst < n then
-    invalid_arg "Clause_db.copy_lits: destination too small";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i db.arena.{h + header_words + i}
-  done;
-  n
 
 let refcount db h = db.arena.{h + 1}
 
@@ -218,27 +221,15 @@ let peak_words db = db.peak_resident
    reservation-overflowing arena invalidates outstanding views, so the
    coordinator re-freezes at every dispatch. *)
 type ro = {
-  ro_arena : arena;
+  ro_arena : region;
   ro_top : int;
 }
 
 let freeze db = { ro_arena = db.arena; ro_top = db.top }
 
-let check_frozen ro h =
-  if !debug && (h < 0 || h + header_words > ro.ro_top) then
-    raise (Use_after_free h)
+let ro_region ro = ro.ro_arena
 
 let ro_size ro h =
-  check_frozen ro h;
+  if !debug && (h < 0 || h + header_words > ro.ro_top) then
+    raise (Use_after_free h);
   ro.ro_arena.{h}
-
-let ro_lit ro h i : Sat.Lit.t = ro.ro_arena.{h + header_words + i}
-
-let ro_copy_lits ro h dst =
-  let n = ro_size ro h in
-  if Array.length dst < n then
-    invalid_arg "Clause_db.ro_copy_lits: destination too small";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i ro.ro_arena.{h + header_words + i}
-  done;
-  n

@@ -58,30 +58,36 @@ val reserved_words : t -> int
     @raise Harness.Meter.Out_of_memory_simulated past the meter's limit. *)
 val alloc : t -> Sat.Lit.t array -> handle
 
-(** [alloc_sorted db buf n] stores the first [n] ints of [buf], which must
-    already be sorted, duplicate-free packed literals (the resolution
-    kernel's merge output). *)
-val alloc_sorted : t -> int array -> int -> handle
+(** A run of packed literals lives in a region: the int [Bigarray] the
+    arena itself is made of.  The resolution kernel reads both operands
+    and writes its resolvent as (region, offset, length) runs, so store
+    clauses, frozen views and worker scratch share one code path. *)
+type region = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [make_region n] is a fresh region of [n] ints. *)
+val make_region : int -> region
+
+(** [ensure_region r n] is [r] when it holds at least [n] ints, else a
+    fresh region of at least twice its size (contents not kept). *)
+val ensure_region : region -> int -> region
+
+(** [alloc_sorted db r n] stores [r.{0 .. n-1}], which must already be
+    sorted, duplicate-free packed literals (a resolvent, or a clause
+    reloaded from a spill file), copying it into the arena by one blit. *)
+val alloc_sorted : t -> region -> int -> handle
 
 (** [size db h] is the clause's literal count. *)
 val size : t -> handle -> int
 
-(** [lit db h i] is the [i]-th literal (packed order). *)
-val lit : t -> handle -> int -> Sat.Lit.t
+(** [lits_offset h] is where the clause's literals start in the arena
+    region: clause [h] is the run
+    [(ro_region (freeze db), lits_offset h, size db h)]. *)
+val lits_offset : handle -> int
 
 (** [lits db h] copies the clause out as a literal array. *)
 val lits : t -> handle -> Sat.Lit.t array
 
 val iter_lits : t -> handle -> (Sat.Lit.t -> unit) -> unit
-
-(** [copy_lits db h dst] copies the clause's literals into
-    [dst.(0 .. n-1)] and returns [n], without allocating — the parallel
-    checker's workers use it to pull operands into domain-local scratch.
-    Safe to call from several domains at once as long as no domain is
-    allocating into or releasing from the store (the wavefront barrier
-    discipline).
-    @raise Invalid_argument when [dst] is too small. *)
-val copy_lits : t -> handle -> int array -> int
 
 (** [retain db h] adds a reference. *)
 val retain : t -> handle -> unit
@@ -123,11 +129,6 @@ val freeze : t -> ro
     past the frozen bump pointer raises {!Use_after_free}. *)
 val ro_size : ro -> handle -> int
 
-(** [ro_lit ro h i] is the [i]-th literal (packed order), read directly
-    from the shared region. *)
-val ro_lit : ro -> handle -> int -> Sat.Lit.t
-
-(** [ro_copy_lits ro h dst] copies the clause's literals into
-    [dst.(0 .. n-1)] and returns [n], without allocating.
-    @raise Invalid_argument when [dst] is too small. *)
-val ro_copy_lits : ro -> handle -> int array -> int
+(** [ro_region ro] is the frozen arena region; read clause [h] in place
+    as the run [(ro_region ro, lits_offset h, ro_size ro h)]. *)
+val ro_region : ro -> region

@@ -11,7 +11,7 @@ type t = {
   mutable built : int;
   mutable steps : int;
   mutable merges : int;
-  mutable scratch : int array;                  (* merge output buffer *)
+  mutable scratch : Clause_db.region;           (* merge output buffer *)
 }
 
 (* Telemetry handles, resolved once.  The kernel updates them at chain
@@ -40,7 +40,7 @@ let create ?meter formula =
     built = 0;
     steps = 0;
     merges = 0;
-    scratch = Array.make 64 0;
+    scratch = Clause_db.make_region 64;
   }
 
 let db t = t.db
@@ -78,178 +78,66 @@ let release_id t id =
 let phase_bit l = if Sat.Lit.is_neg l then 2 else 1
 let swap_mask m = ((m land 1) lsl 1) lor ((m lsr 1) land 1)
 
+(* [var_mask r stop p] is the phase mask of the variable at [r.{!p}],
+   advancing [p] past every literal of that variable. *)
+let var_mask (r : Clause_db.region) stop p =
+  let v = Sat.Lit.var r.{!p} in
+  let m = ref 0 in
+  while !p < stop && Sat.Lit.var r.{!p} = v do
+    m := !m lor phase_bit r.{!p};
+    incr p
+  done;
+  !m
+
 (* Both operands are sorted duplicate-free packed-literal runs, so both
    phases of a variable sit adjacently and one linear merge walk finds the
    clashing variables: a variable whose phase masks overlap crosswise. *)
-let clashing_vars t h1 h2 =
-  let db = t.db in
-  let n1 = Clause_db.size db h1 and n2 = Clause_db.size db h2 in
+let clashing_vars (a : Clause_db.region) ai an (b : Clause_db.region) bi bn =
   let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask h n r =
-    let v = Sat.Lit.var (Clause_db.lit db h !r) in
-    let m = ref 0 in
-    while !r < n && Sat.Lit.var (Clause_db.lit db h !r) = v do
-      m := !m lor phase_bit (Clause_db.lit db h !r);
-      incr r
-    done;
-    (v, !m)
-  in
-  while !i < n1 && !j < n2 do
-    let v1 = Sat.Lit.var (Clause_db.lit db h1 !i)
-    and v2 = Sat.Lit.var (Clause_db.lit db h2 !j) in
-    if v1 < v2 then ignore (var_mask h1 n1 i)
-    else if v2 < v1 then ignore (var_mask h2 n2 j)
+  let i = ref ai and j = ref bi in
+  let ea = ai + an and eb = bi + bn in
+  while !i < ea && !j < eb do
+    let v1 = Sat.Lit.var a.{!i} and v2 = Sat.Lit.var b.{!j} in
+    if v1 < v2 then ignore (var_mask a ea i)
+    else if v2 < v1 then ignore (var_mask b eb j)
     else begin
-      let _, m1 = var_mask h1 n1 i in
-      let _, m2 = var_mask h2 n2 j in
+      let m1 = var_mask a ea i in
+      let m2 = var_mask b eb j in
       if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
     end
   done;
   List.rev !clashes
 
-let ensure_scratch t n =
-  if Array.length t.scratch < n then
-    t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0
+let run_lits (r : Clause_db.region) off n = Array.init n (fun i -> r.{off + i})
 
-let resolve t ~context ~c1_id ~c2_id h1 h2 =
-  let db = t.db in
+(* The one checked resolution: the paper's side condition (exactly one
+   clashing variable) is enforced here and nowhere else.  It touches no
+   kernel state, so par's worker domains run it concurrently. *)
+let resolve ~context ~c1_id ~c2_id (a : Clause_db.region) ai an
+    (b : Clause_db.region) bi bn (out : Clause_db.region) =
   let pivot =
-    match clashing_vars t h1 h2 with
+    match clashing_vars a ai an b bi bn with
     | [ v ] -> v
     | [] ->
       Diagnostics.fail
         (Diagnostics.No_clash
            { context; c1_id; c2_id;
-             c1 = Clause_db.lits db h1; c2 = Clause_db.lits db h2 })
+             c1 = run_lits a ai an; c2 = run_lits b bi bn })
     | vars ->
       Diagnostics.fail
         (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
   in
-  let n1 = Clause_db.size db h1 and n2 = Clause_db.size db h2 in
-  ensure_scratch t (n1 + n2);
-  let out = t.scratch in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
+  let k = ref 0 and merges = ref 0 in
+  let i = ref ai and j = ref bi in
+  let ea = ai + an and eb = bi + bn in
   let emit l =
     if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
+      out.{!k} <- l;
       incr k
     end
   in
-  while !i < n1 && !j < n2 do
-    let l1 = Clause_db.lit db h1 !i and l2 = Clause_db.lit db h2 !j in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then t.merges <- t.merges + 1;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < n1 do
-    emit (Clause_db.lit db h1 !i);
-    incr i
-  done;
-  while !j < n2 do
-    emit (Clause_db.lit db h2 !j);
-    incr j
-  done;
-  t.steps <- t.steps + 1;
-  (Clause_db.alloc_sorted db out !k, pivot)
-
-let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
-  let h1 = Clause_db.alloc t.db c1 in
-  let h2 = Clause_db.alloc t.db c2 in
-  let r, pivot = resolve t ~context ~c1_id ~c2_id h1 h2 in
-  let out = Clause_db.lits t.db r in
-  Clause_db.release t.db r;
-  Clause_db.release t.db h1;
-  Clause_db.release t.db h2;
-  (out, pivot)
-
-(* --- re-entrant frozen-view resolution ---------------------------------- *)
-
-(* The same checked resolution as {!resolve}, with the first operand in a
-   caller-owned literal array and the second read in place from a
-   {!Clause_db.ro} view: no kernel counters, no shared-arena allocation,
-   no mutable kernel state at all.  The parallel checker's worker domains
-   run whole chains through this while the shared store is read-only, and
-   commit the results (and the counter deltas) at the wavefront barrier.
-   The running resolvent lives in domain-local scratch; every store
-   operand stays in the shared arena. *)
-
-let clashing_vars_ro a na ro h2 nb =
-  let clashes = ref [] in
-  let i = ref 0 and j = ref 0 in
-  let var_mask_a () =
-    let v = Sat.Lit.var a.(!i) in
-    let m = ref 0 in
-    while !i < na && Sat.Lit.var a.(!i) = v do
-      m := !m lor phase_bit a.(!i);
-      incr i
-    done;
-    (v, !m)
-  in
-  let var_mask_b () =
-    let v = Sat.Lit.var (Clause_db.ro_lit ro h2 !j) in
-    let m = ref 0 in
-    while
-      !j < nb && Sat.Lit.var (Clause_db.ro_lit ro h2 !j) = v
-    do
-      m := !m lor phase_bit (Clause_db.ro_lit ro h2 !j);
-      incr j
-    done;
-    (v, !m)
-  in
-  while !i < na && !j < nb do
-    let v1 = Sat.Lit.var a.(!i)
-    and v2 = Sat.Lit.var (Clause_db.ro_lit ro h2 !j) in
-    if v1 < v2 then ignore (var_mask_a ())
-    else if v2 < v1 then ignore (var_mask_b ())
-    else begin
-      let _, m1 = var_mask_a () in
-      let _, m2 = var_mask_b () in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
-let resolve_ro ~context ~c1_id ~c2_id a na ro h2 out =
-  let nb = Clause_db.ro_size ro h2 in
-  let pivot =
-    match clashing_vars_ro a na ro h2 nb with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           {
-             context;
-             c1_id;
-             c2_id;
-             c1 = Array.sub a 0 na;
-             c2 = Array.init nb (Clause_db.ro_lit ro h2);
-           })
-    | vars ->
-      Diagnostics.fail
-        (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let k = ref 0 and i = ref 0 and j = ref 0 in
-  let merges = ref 0 in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.(!k) <- l;
-      incr k
-    end
-  in
-  while !i < na && !j < nb do
-    let l1 = a.(!i) and l2 = Clause_db.ro_lit ro h2 !j in
+  while !i < ea && !j < eb do
+    let l1 = a.{!i} and l2 = b.{!j} in
     if l1 = l2 then begin
       emit l1;
       if Sat.Lit.var l1 <> pivot then incr merges;
@@ -265,15 +153,41 @@ let resolve_ro ~context ~c1_id ~c2_id a na ro h2 out =
       incr j
     end
   done;
-  while !i < na do
-    emit a.(!i);
+  while !i < ea do
+    emit a.{!i};
     incr i
   done;
-  while !j < nb do
-    emit (Clause_db.ro_lit ro h2 !j);
+  while !j < eb do
+    emit b.{!j};
     incr j
   done;
   (!k, pivot, !merges)
+
+(* One sequential step on two published store clauses.  [size] keeps the
+   lifetime guard on both operands, which are then read in place through
+   a frozen view; the resolvent is published as a fresh arena clause, so
+   a nested chain run by a later [fetch] cannot clobber it. *)
+let step t ~context ~c1_id ~c2_id h1 h2 =
+  let n1 = Clause_db.size t.db h1 and n2 = Clause_db.size t.db h2 in
+  t.scratch <- Clause_db.ensure_region t.scratch (n1 + n2);
+  let r = Clause_db.ro_region (Clause_db.freeze t.db) in
+  let k, pivot, merges =
+    resolve ~context ~c1_id ~c2_id r (Clause_db.lits_offset h1) n1 r
+      (Clause_db.lits_offset h2) n2 t.scratch
+  in
+  t.steps <- t.steps + 1;
+  t.merges <- t.merges + merges;
+  (Clause_db.alloc_sorted t.db t.scratch k, pivot)
+
+let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
+  let h1 = Clause_db.alloc t.db c1 in
+  let h2 = Clause_db.alloc t.db c2 in
+  let r, pivot = step t ~context ~c1_id ~c2_id h1 h2 in
+  let out = Clause_db.lits t.db r in
+  Clause_db.release t.db r;
+  Clause_db.release t.db h1;
+  Clause_db.release t.db h2;
+  (out, pivot)
 
 (* [peek t id] is the read-only id lookup: never materialises an original,
    never mutates — the only table access worker domains are allowed. *)
@@ -293,9 +207,8 @@ let observe_chain t ~nsources ~steps =
   end
 
 (* [record_external_chain t ~learned_id ~steps ~merges] folds the counter
-   deltas of a chain performed outside the kernel (through
-   {!resolve_ro}) into the kernel's totals, so reports agree exactly
-   with a sequential run.  Single-threaded: call only at a barrier. *)
+   deltas of a chain a worker domain ran through {!resolve} into the
+   kernel's totals, so reports agree exactly with a sequential run.  Single-threaded: call only at a barrier. *)
 let record_external_chain t ~learned_id ~steps ~merges =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
@@ -325,7 +238,7 @@ let chain t ~context ~fetch ~combine ~learned_id ids =
     for idx = 1 to Array.length ids - 1 do
       let h, a = fetch ids.(idx) in
       let r, pivot =
-        resolve t ~context ~c1_id:!cur_id ~c2_id:ids.(idx) !cur h
+        step t ~context ~c1_id:!cur_id ~c2_id:ids.(idx) !cur h
       in
       if !owned then Clause_db.release t.db !cur;
       owned := true;
@@ -629,7 +542,7 @@ let final_chain t ~l0 ~fetch ~combine ~conflict_id =
        Diagnostics.fail
          (Diagnostics.Antecedent_mismatch { var = v; ante = ante_id; reason }));
     let r, pivot =
-      resolve t ~context:context_final ~c1_id:!cur_id ~c2_id:ante_id !cur ha
+      step t ~context:context_final ~c1_id:!cur_id ~c2_id:ante_id !cur ha
     in
     if pivot <> v then
       Diagnostics.fail

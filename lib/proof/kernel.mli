@@ -17,9 +17,12 @@
       discipline, generalised over a clause annotation so interpolation
       (McMillan's rule) rides the same traversal as plain checking.
 
-    Every resolution performed anywhere in the system goes through
-    {!resolve} here, which enforces the paper's side condition: exactly
-    one variable in opposite phases, no tautological resolvents. *)
+    Every checked resolution in the system — each step of {!chain} and
+    {!final_chain}, and every step par's worker domains replay — goes
+    through the one routine {!resolve} here, which enforces the paper's
+    side condition: exactly one variable in opposite phases, no
+    tautological resolvents.  It is also the only place that raises
+    [No_clash] or [Multiple_clash]. *)
 
 type t
 
@@ -50,22 +53,33 @@ val release_id : t -> int -> unit
 
 (** {2 Resolution} *)
 
-(** [resolve t ~context ~c1_id ~c2_id h1 h2] is the checked resolvent (a
-    fresh handle owned by the caller) and the pivot variable.
-    @raise Diagnostics.Check_failed with [No_clash] or [Multiple_clash]
-    when the side condition fails. *)
+(** [resolve ~context ~c1_id ~c2_id a ai an b bi bn out] resolves the
+    sorted duplicate-free packed-literal runs [a.{ai .. ai+an-1}] and
+    [b.{bi .. bi+bn-1}] into [out.{0 ..}] (capacity at least [an + bn]),
+    returning [(resolvent length, pivot, merged literal count)].  The
+    runs may be two clauses of one frozen store view (the sequential
+    chains) or a worker's scratch and a view clause (par).  Touches no
+    kernel state and updates no counters, so any number of domains may
+    run it at once.
+    @raise Diagnostics.Check_failed with [No_clash] (naming both literal
+    lists) or [Multiple_clash] when the side condition fails. *)
 val resolve :
-  t ->
   context:string ->
   c1_id:int ->
   c2_id:int ->
-  Clause_db.handle ->
-  Clause_db.handle ->
-  Clause_db.handle * Sat.Lit.var
+  Clause_db.region ->
+  int ->
+  int ->
+  Clause_db.region ->
+  int ->
+  int ->
+  Clause_db.region ->
+  int * Sat.Lit.var * int
 
-(** [resolve_lits] is {!resolve} on plain literal arrays (tests and
-    micro-benchmarks); the operands are staged through the store and
-    released. *)
+(** [resolve_lits t ~context ~c1_id ~c2_id c1 c2] is one counted
+    {!chain} step on plain literal arrays (tests and micro-benchmarks):
+    the operands are staged through the store and released, and the
+    resolvent is returned with its pivot. *)
 val resolve_lits :
   t ->
   context:string ->
@@ -75,52 +89,28 @@ val resolve_lits :
   Sat.Lit.t array ->
   Sat.Lit.t array * Sat.Lit.var
 
-(** {2 Re-entrant scratch resolution}
-
-    The parallel checker's worker domains replay resolution chains while
-    the shared store is read-only; this entry point touches no kernel
-    state, so any number of domains may run it concurrently. *)
-
-(** [resolve_ro ~context ~c1_id ~c2_id a na ro h2 out] is the same
-    checked resolution as {!resolve}, on the sorted duplicate-free packed
-    literal run [a.(0..na-1)] and the clause [h2] read in place from the
-    frozen store view [ro], writing the resolvent into the caller-owned
-    [out] (capacity at least [na] plus the size of [h2]) — worker domains
-    resolve against shared clauses with zero per-operand copying.
-    Returns [(resolvent length, pivot, merged literal count)]; updates no
-    counters and allocates nothing in any shared arena.
-    @raise Diagnostics.Check_failed with [No_clash] or [Multiple_clash]
-    when the side condition fails. *)
-val resolve_ro :
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  int array ->
-  int ->
-  Clause_db.ro ->
-  Clause_db.handle ->
-  int array ->
-  int * Sat.Lit.var * int
-
 (** [peek t id] is the read-only id lookup: [None] when [id] is unbound,
     never materialises an original clause, never mutates.  The only id
     table access allowed from a worker domain. *)
 val peek : t -> int -> Clause_db.handle option
 
 (** [record_external_chain t ~learned_id ~steps ~merges] folds the
-    counter deltas of one learned-clause chain performed through
-    {!resolve_ro} into the kernel totals (one built clause, [steps]
+    counter deltas of one learned-clause chain a worker domain ran
+    through {!resolve} into the kernel totals (one built clause, [steps]
     resolutions, [merges] merged literals), keeping reports identical to
     a sequential run.  Single-threaded: call only at a barrier. *)
 val record_external_chain :
   t -> learned_id:int -> steps:int -> merges:int -> unit
 
 (** [chain t ~context ~fetch ~combine ~learned_id ids] folds checked
-    resolution left-to-right over the clauses named by [ids], threading an
-    annotation through [combine] at each step, and returns the final
-    clause (a handle owned by the caller — for a single-element chain, a
-    retained alias of the source) with its annotation.  Counts one built
-    clause.
+    resolution ({!resolve}) left-to-right over the clauses named by [ids],
+    threading an annotation through [combine] at each step, and returns
+    the final clause (a handle owned by the caller — for a single-element
+    chain, a retained alias of the source) with its annotation.  Every
+    intermediate resolvent is published as an arena clause and released
+    one step later, since [fetch] may itself run a nested chain.  A failing
+    step names the learned id as [c1_id] once the running resolvent is an
+    intermediate.  Counts one built clause.
     @raise Diagnostics.Check_failed on any invalid step, and with
     [Empty_source_list] when [ids] is empty. *)
 val chain :
@@ -242,8 +232,9 @@ val build : 'a builder -> int -> Clause_db.handle * 'a
 (** [final_chain t ~l0 ~fetch ~combine ~conflict_id] resolves the final
     conflicting clause against recorded antecedents in reverse
     chronological order down to the empty clause, checking antecedent
-    validity and pivot choice at each step.  Returns the final annotation
-    and the chain length. *)
+    validity and pivot choice at each step; each step is a {!resolve}
+    whose failure names [-1] as [c1_id] once the running clause is an
+    intermediate.  Returns the final annotation and the chain length. *)
 val final_chain :
   t ->
   l0:Level0.t ->

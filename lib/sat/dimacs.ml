@@ -2,6 +2,12 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* Solvers and simplifiers size per-variable arrays from the declared
+   count before reading a clause, so an absurd header must be refused
+   here rather than fail deep inside an allocation.  The bound is
+   kissat's largest external variable index. *)
+let max_vars = (1 lsl 28) - 1
+
 (* Tokenize into ints, skipping 'c' comment lines and the '%' / '0' tail
    some old benchmark files carry. *)
 let tokens_of_string s =
@@ -16,7 +22,10 @@ let tokens_of_string s =
         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
         | [ "p"; "cnf"; nv; nc ] -> (
           match int_of_string_opt nv, int_of_string_opt nc with
-          | Some nv, Some nc -> header := Some (nv, nc)
+          | Some nv, Some nc when nv >= 0 && nc >= 0 ->
+            if nv > max_vars then
+              fail "bad header %S: more than %d variables" line max_vars;
+            header := Some (nv, nc)
           | _ -> fail "bad header %S" line)
         | _ -> fail "bad header %S" line
       end

@@ -6,9 +6,13 @@
 
 exception Parse_error of string
 
+(** The largest variable count a header may declare ([2^28 - 1]). *)
+val max_vars : int
+
 (** [parse_string s] reads a DIMACS document.
     @raise Parse_error on malformed input, including a clause count that
-    disagrees with the header. *)
+    disagrees with the header, a negative count, or more than {!max_vars}
+    declared variables. *)
 val parse_string : string -> Cnf.t
 
 (** [parse_file path] reads a DIMACS file from disk. *)

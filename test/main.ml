@@ -2,6 +2,9 @@
    [dune runtest] exercises the whole stack. *)
 
 let () =
+  (* arm the clause store's lifetime guards for every suite, so the
+     agreement matrices and the fuzzers also catch use-after-free *)
+  Proof.Clause_db.set_debug true;
   Alcotest.run "resolution_checker"
     (Test_vec.suite @ Test_rng.suite @ Test_lit_clause.suite
    @ Test_cnf_dimacs.suite @ Test_card.suite @ Test_assignment_model.suite @ Test_trace.suite

@@ -59,7 +59,8 @@ let test_retain_release_balance () =
 (* --- reserved region and frozen read-only views ------------------------ *)
 
 let ints_of_ro ro h =
-  List.init (Db.ro_size ro h) (fun i -> Sat.Lit.to_int (Db.ro_lit ro h i))
+  let r = Db.ro_region ro and base = Db.lits_offset h in
+  List.init (Db.ro_size ro h) (fun i -> Sat.Lit.to_int r.{base + i})
 
 let test_reserve_and_freeze () =
   let db = Db.create ~reserve:4096 () in
@@ -69,15 +70,17 @@ let test_reserve_and_freeze () =
   let ro = Db.freeze db in
   Alcotest.check Alcotest.int "ro_size" 3 (Db.ro_size ro h);
   Alcotest.(check (list int))
-    "ro_lit reads the packed literals in place"
+    "the frozen region holds the packed literals in place"
     (Array.to_list (Array.map Sat.Lit.to_int (Db.lits db h)))
     (ints_of_ro ro h);
-  let dst = Array.make 8 0 in
-  let n = Db.ro_copy_lits ro h dst in
-  Alcotest.check Alcotest.int "ro_copy_lits returns the length" 3 n;
+  (* alloc_sorted copies a region run back into the store *)
+  let r = Db.make_region 8 in
+  List.iteri (fun i l -> r.{i} <- l) (Array.to_list (Db.lits db h));
+  let h' = Db.alloc_sorted db r 3 in
+  Alcotest.check Alcotest.int "alloc_sorted keeps the length" 3 (Db.size db h');
   Alcotest.(check (list int))
-    "ro_copy_lits copies the same run" (ints_of_ro ro h)
-    (List.init n (fun i -> Sat.Lit.to_int dst.(i)))
+    "alloc_sorted copies the same run" (ints_of_ro ro h)
+    (ints_of_ro (Db.freeze db) h')
 
 (* A frozen view is a stable snapshot: growing (and relocating) the
    arena after the freeze must not disturb reads through the old view,

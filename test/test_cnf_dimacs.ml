@@ -63,7 +63,12 @@ let test_dimacs_errors () =
   expect_parse_error "p cnf 2 1\n1 2\n" "unterminated clause";
   expect_parse_error "p cnf 2 2\n1 0\n" "clause count mismatch";
   expect_parse_error "p cnf 1 1\n2 0\n" "variable out of range";
-  expect_parse_error "p cnf x 1\n1 0\n" "bad header token"
+  expect_parse_error "p cnf x 1\n1 0\n" "bad header token";
+  expect_parse_error "p cnf -1 0\n" "negative variable count";
+  expect_parse_error "p cnf 1 -1\n" "negative clause count";
+  expect_parse_error
+    (Printf.sprintf "p cnf %d 1\n1 0\n" (Sat.Dimacs.max_vars + 1))
+    "variable count past the bound"
 
 let test_dimacs_roundtrip () =
   let rng = Sat.Rng.create 77 in
