@@ -251,13 +251,32 @@ type state = {
   (* normalized original clauses ([None] = tautological), id-1 indexed;
      empty without a formula.  Feeds the L7xx chain simulation. *)
   originals : Sat.Clause.t option array;
-  orig_keys : (string, int) Hashtbl.t;  (* normalized-clause key -> id *)
+  (* normalized-clause key -> id, built on first use: only a cleanly
+     simulated all-original chain (L703) reads it *)
+  mutable orig_keys : (string, int) Hashtbl.t option;
 }
 
 (* Canonical key of a normalized clause: [Clause.normalize] sorts
    literals, so equal clause sets render identically. *)
 let clause_key c =
   String.concat "," (List.map string_of_int (Sat.Clause.to_ints c))
+
+let orig_keys st =
+  match st.orig_keys with
+  | Some keys -> keys
+  | None ->
+    let keys = Hashtbl.create (2 * Array.length st.originals + 1) in
+    Array.iteri
+      (fun i c ->
+        match c with
+        | None -> ()
+        | Some n ->
+          (* first definition wins: duplicates report the earliest id *)
+          let k = clause_key n in
+          if not (Hashtbl.mem keys k) then Hashtbl.add keys k (i + 1))
+      st.originals;
+    st.orig_keys <- Some keys;
+    keys
 
 (* Telemetry handles; updates are guarded at the few lint hot points. *)
 let m_events = Obs.Metrics.counter Obs.Metrics.global "lint.events"
@@ -394,7 +413,7 @@ let check_learned st pos id sources =
       match Sat.Clause.normalize !acc with
       | None -> ()
       | Some r -> (
-        match Hashtbl.find_opt st.orig_keys (clause_key r) with
+        match Hashtbl.find_opt (orig_keys st) (clause_key r) with
         | Some oid ->
           emit st pos Redundant_derivation
             "clause %d rederives original clause %d verbatim" id oid
@@ -473,10 +492,17 @@ let handle_event st pos (e : Trace.Event.t) =
    literals — are corruption the replay would only surface indirectly. *)
 let check_formula st pos f =
   let nvars = Sat.Cnf.nvars f in
+  (* [mark.(v)] is [(clause id) lsl 2 lor phase mask] for the literals of
+     the current clause seen so far; one array for the whole formula *)
+  let top = ref 0 in
+  Sat.Cnf.iter_clauses
+    (fun _ c -> Array.iter (fun l -> top := max !top (Sat.Lit.var l)) c)
+    f;
+  let mark = Array.make (!top + 1) 0 in
+  let bit l = if Sat.Lit.is_neg l then 2 else 1 in
   Sat.Cnf.iter_clauses
     (fun i c ->
       let id = i + 1 in
-      let seen_lit = Hashtbl.create 8 in
       let dup = ref false and taut = ref false in
       Array.iter
         (fun l ->
@@ -485,17 +511,18 @@ let check_formula st pos f =
             emit st pos Formula_var_range
               "formula clause %d mentions variable %d, outside 1..%d" id v
               nvars;
-          if (not !dup) && Hashtbl.mem seen_lit l then begin
+          let m = if mark.(v) lsr 2 = id then mark.(v) land 3 else 0 in
+          if (not !dup) && m land bit l <> 0 then begin
             dup := true;
             emit st pos Formula_duplicate_lit
               "formula clause %d repeats literal %s" id (Sat.Lit.to_string l)
           end;
-          if (not !taut) && Hashtbl.mem seen_lit (Sat.Lit.negate l) then begin
+          if (not !taut) && m land bit (Sat.Lit.negate l) <> 0 then begin
             taut := true;
             emit st pos Formula_tautology
               "formula clause %d is tautological on variable %d" id v
           end;
-          Hashtbl.replace seen_lit l ())
+          mark.(v) <- (id lsl 2) lor m lor bit l)
         c)
     f
 
@@ -523,23 +550,10 @@ type stream = {
 }
 
 let stream_start ?formula ?(max_diagnostics = 100) ~binary () =
-  let originals, orig_keys =
+  let originals =
     match formula with
-    | None -> ([||], Hashtbl.create 1)
-    | Some f ->
-      let arr = Array.make (Sat.Cnf.nclauses f) None in
-      let keys = Hashtbl.create (2 * Sat.Cnf.nclauses f + 1) in
-      Sat.Cnf.iter_clauses
-        (fun i c ->
-          match Sat.Clause.normalize c with
-          | None -> ()
-          | Some n ->
-            arr.(i) <- Some n;
-            (* first definition wins: duplicates report the earliest id *)
-            let k = clause_key n in
-            if not (Hashtbl.mem keys k) then Hashtbl.add keys k (i + 1))
-        f;
-      (arr, keys)
+    | None -> [||]
+    | Some f -> Array.map Sat.Clause.normalize (Sat.Cnf.clauses f)
   in
   let st = {
     cap = max max_diagnostics 0;
@@ -561,7 +575,7 @@ let stream_start ?formula ?(max_diagnostics = 100) ~binary () =
     conflict_seen = false;
     after_conflict_reported = false;
     originals;
-    orig_keys;
+    orig_keys = None;
   } in
   let origin = if binary then Trace.Reader.Byte 0 else Trace.Reader.Line 0 in
   (match formula with

@@ -1,7 +1,7 @@
 (* Wavefront scheduling of the forward replay.  Pass one is breadth-first's
    counting pass, also keeping every record as a task.  Pass two replays
    one wavefront at a time: worker domains pull chunks of its chains off a
-   shared queue and resolve them through {!Proof.Kernel.resolve}
+   shared queue and resolve each on a domain-local {!Proof.Kernel.Acc.t}
    against a store view frozen at dispatch, while the store itself stays
    read-only.  At the barrier the main thread alone commits every result
    in stream order through {!Forward.commit}, so verdicts and diagnostics
@@ -15,6 +15,8 @@
    or past the earliest failing stream index seen so far, and the
    reported failure is the minimum-stream-index one. *)
 
+module Acc = Proof.Kernel.Acc
+
 type task = {
   id : int;
   sources : int array;
@@ -27,17 +29,6 @@ type outcome =
   | Clause of { lits : Proof.Clause_db.region; steps : int; merges : int }
   | Fail of Diagnostics.failure
   | Skipped
-
-(* Domain-local scratch: the running resolvent ping-pongs between [cur]
-   and [out].  Store operands are read in place from the wavefront's
-   frozen view.  Nothing here is shared. *)
-type scratch = {
-  mutable cur : Proof.Clause_db.region;
-  mutable out : Proof.Clause_db.region;
-}
-
-let make_scratch () =
-  { cur = Proof.Clause_db.make_region 64; out = Proof.Clause_db.make_region 64 }
 
 (* BF uses this context string for every chain failure; reusing it verbatim
    keeps parallel diagnostics bit-identical to sequential ones. *)
@@ -57,42 +48,29 @@ let peek_handle k id =
        originals are materialised before their wavefront is dispatched *)
     Diagnostics.fail (Diagnostics.Unknown_clause { context; id })
 
-(* Replay one learned clause's chain in scratch — the worker-side mirror
-   of {!Proof.Kernel.chain}, including its [c1_id] convention:
-   intermediate resolvents belong to the learned id.  The first step reads
-   both sources in place from the frozen view; every later step resolves
-   the running resolvent in [sc.cur] against a view clause. *)
-let run_task k view sc t =
+(* Replay one learned clause's chain on the domain-local accumulator [a]
+   — the worker-side mirror of {!Proof.Kernel.chain}, including its
+   [c1_id] convention: intermediate resolvents belong to the learned id.
+   Every source is read in place from the frozen view. *)
+let run_task k view a t =
   let n = Array.length t.sources in
   if n = 1 then Single
   else
     try
       let store = Proof.Clause_db.ro_region view in
+      let len h = Proof.Clause_db.ro_size view h in
       let h0 = peek_handle k t.sources.(0) in
-      let a = ref store and ai = ref (Proof.Clause_db.lits_offset h0) in
-      let len = ref (Proof.Clause_db.ro_size view h0) in
-      let merges = ref 0 in
-      let c1_id = ref t.sources.(0) in
+      Acc.start a;
+      Acc.load a store (Proof.Clause_db.lits_offset h0) (len h0);
       for i = 1 to n - 1 do
         let h = peek_handle k t.sources.(i) in
-        let nb = Proof.Clause_db.ro_size view h in
-        sc.out <- Proof.Clause_db.ensure_region sc.out (!len + nb);
-        let len', _pivot, m =
-          Proof.Kernel.resolve ~context ~c1_id:!c1_id ~c2_id:t.sources.(i) !a
-            !ai !len store (Proof.Clause_db.lits_offset h) nb sc.out
-        in
-        let tmp = sc.cur in
-        sc.cur <- sc.out;
-        sc.out <- tmp;
-        a := sc.cur;
-        ai := 0;
-        len := len';
-        merges := !merges + m;
-        c1_id := t.id
+        let c1_id = if i = 1 then t.sources.(0) else t.id in
+        ignore (Acc.step a ~context ~c1_id ~c2_id:t.sources.(i) store
+                  (Proof.Clause_db.lits_offset h) (len h) : Sat.Lit.var)
       done;
-      let lits = Proof.Clause_db.make_region !len in
-      Bigarray.Array1.blit (Bigarray.Array1.sub sc.cur 0 !len) lits;
-      Clause { lits; steps = n - 1; merges = !merges }
+      let lits = Proof.Clause_db.make_region (Acc.size a) in
+      ignore (Acc.finish a lits : int);
+      Clause { lits; steps = n - 1; merges = Acc.merges a }
     with Diagnostics.Check_failed f -> Fail f
 
 (* --- the worker pool ---------------------------------------------------- *)
@@ -135,7 +113,7 @@ let make_pool db =
   }
 
 let worker kernel pool shard () =
-  let sc = make_scratch () in
+  let acc = Acc.create () in
   (* lock-free per-domain telemetry: the shard has one writer (this
      worker) and is read and zeroed by the main thread only at barriers *)
   let sh_tasks = Obs.Metrics.shard_counter shard "par.tasks_replayed" in
@@ -164,7 +142,7 @@ let worker kernel pool shard () =
         let r =
           if t.seq >= limit then Skipped
           else
-            try run_task kernel view sc t
+            try run_task kernel view acc t
             with e ->
               Mutex.lock pool.m;
               if pool.crashed = None then pool.crashed <- Some e;
@@ -346,7 +324,7 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
       List.init jobs (fun i -> Domain.spawn (worker kernel pool shards.(i)))
     else []
   in
-  let inline_scratch = make_scratch () in
+  let inline_acc = Acc.create () in
   let (), pass_two_seconds =
     Forward.timed ~cat:"par" "check.pass_two" @@ fun () ->
     Fun.protect
@@ -370,7 +348,7 @@ let check ?meter ?format ?io ?(jobs = 1) ?(window = default_window)
                 (fun i t ->
                   results.(i) <-
                     (if t.seq >= !min_fail_seq then Skipped
-                     else run_task kernel view inline_scratch t))
+                     else run_task kernel view inline_acc t))
                 front
             else begin
               dispatch pool front results ~view ~limit_seq:!min_fail_seq ~jobs;

@@ -4,8 +4,8 @@
     commits).  Within stream windows of [window] records, each record's
     level is [1 + max (level of its sources)] (sources from earlier
     windows count as level 0), so one wavefront's chains are independent:
-    worker domains replay them through {!Proof.Kernel.resolve} against
-    a frozen store view, and at each barrier the main thread alone
+    worker domains replay each on a domain-local
+    {!Proof.Kernel.Acc.t} against a frozen store view, and at each barrier the main thread alone
     commits the results in stream order through {!Forward.commit}.
 
     Window-local levelling keeps the live set equal to sequential BF's at

@@ -1,3 +1,148 @@
+(* --- the chain accumulator ---------------------------------------------- *)
+
+(* A chain's running resolvent as per-variable stamps (minisat's [seen]
+   idiom): [stamp.(v)] is [gen lsl 2 lor mask], mask bit 1 for the
+   positive and bit 2 for the negative phase.  An older generation reads
+   as absent, so {!Acc.start} clears the last chain in O(1).  [vars] lists
+   the variables stamped this chain, cleared pivots included. *)
+module Acc = struct
+  type t = {
+    mutable gen : int;
+    mutable stamp : int array;
+    mutable vars : int array;
+    mutable nvars : int;      (* entries used in [vars] *)
+    mutable live : int;       (* literals in the running resolvent *)
+    mutable merges : int;     (* literals both operands held, this chain *)
+  }
+
+  let create () =
+    { gen = 1; stamp = [||]; vars = [||]; nvars = 0; live = 0; merges = 0 }
+
+  let start a =
+    a.gen <- a.gen + 1;
+    a.nvars <- 0;
+    a.live <- 0;
+    a.merges <- 0
+
+  let size a = a.live
+  let merges a = a.merges
+  let phase_bit l = 1 lsl (l land 1)
+  let mask a v = if a.stamp.(v) lsr 2 = a.gen then a.stamp.(v) land 3 else 0
+  let clashes a l = mask a (Sat.Lit.var l) land phase_bit (Sat.Lit.negate l) <> 0
+
+  let grow arr len n =
+    let arr' = Array.make (max n (2 * Array.length arr)) 0 in
+    Array.blit arr 0 arr' 0 len;
+    arr'
+
+  (* Room for the sorted run [r.{off .. off+n-1}]: its last literal holds
+     its largest variable, and it adds at most [n] variables. *)
+  let reserve a (r : Clause_db.region) off n =
+    let top = if n = 0 then 0 else Sat.Lit.var r.{off + n - 1} in
+    if top >= Array.length a.stamp then
+      a.stamp <- grow a.stamp (Array.length a.stamp) (top + 1);
+    if a.nvars + n > Array.length a.vars then
+      a.vars <- grow a.vars a.nvars (a.nvars + n)
+
+  let add a l =
+    let v = Sat.Lit.var l and bit = phase_bit l in
+    if a.stamp.(v) lsr 2 <> a.gen then begin
+      a.stamp.(v) <- a.gen lsl 2;
+      a.vars.(a.nvars) <- v;
+      a.nvars <- a.nvars + 1
+    end;
+    if a.stamp.(v) land bit <> 0 then a.merges <- a.merges + 1
+    else begin
+      a.stamp.(v) <- a.stamp.(v) lor bit;
+      a.live <- a.live + 1
+    end
+
+  let load a (r : Clause_db.region) off n =
+    reserve a r off n;
+    for i = off to off + n - 1 do add a r.{i} done
+
+  (* In-place ascending quicksort of the distinct ints [x.(lo .. hi)]. *)
+  let rec sort x lo hi =
+    if lo < hi then begin
+      let p = x.((lo + hi) / 2) in
+      let i = ref lo and j = ref hi in
+      while !i <= !j do
+        while x.(!i) < p do incr i done;
+        while x.(!j) > p do decr j done;
+        if !i <= !j then begin
+          let y = x.(!i) in
+          x.(!i) <- x.(!j);
+          x.(!j) <- y;
+          incr i;
+          decr j
+        end
+      done;
+      sort x lo !j;
+      sort x !i hi
+    end
+
+  (* Drop cleared variables from [vars] (unstamping them, so a later [add]
+     lists them again), sort the rest, and write their literals. *)
+  let finish a (out : Clause_db.region) =
+    let k = ref 0 in
+    for i = 0 to a.nvars - 1 do
+      let v = a.vars.(i) in
+      if mask a v = 0 then a.stamp.(v) <- 0
+      else (a.vars.(!k) <- v; incr k)
+    done;
+    a.nvars <- !k;
+    sort a.vars 0 (!k - 1);
+    let n = ref 0 in
+    for i = 0 to !k - 1 do
+      let v = a.vars.(i) and m = mask a a.vars.(i) in
+      if m land 1 <> 0 then (out.{!n} <- Sat.Lit.pos v; incr n);
+      if m land 2 <> 0 then (out.{!n} <- Sat.Lit.neg v; incr n)
+    done;
+    !n
+
+  let to_lits a =
+    let out = Clause_db.make_region a.live in
+    Array.init (finish a out) (fun i -> out.{i})
+
+  (* The one checked resolution: the paper's side condition (exactly one
+     clashing variable) is enforced here and nowhere else.  A failure
+     names the running resolvent and the source (no clash), or the
+     clashing variables in ascending order. *)
+  let step a ~context ~c1_id ~c2_id (r : Clause_db.region) off n =
+    reserve a r off n;
+    let vars = ref [] in
+    for i = off + n - 1 downto off do
+      let v = Sat.Lit.var r.{i} in
+      if clashes a r.{i} && (match !vars with u :: _ -> u <> v | [] -> true)
+      then vars := v :: !vars
+    done;
+    match !vars with
+    | [ p ] ->
+      for i = off to off + n - 1 do
+        if Sat.Lit.var r.{i} <> p then add a r.{i}
+      done;
+      a.live <- a.live - (mask a p land 1) - (mask a p lsr 1);
+      a.stamp.(p) <- a.gen lsl 2;
+      p
+    | [] ->
+      Diagnostics.fail
+        (Diagnostics.No_clash
+           { context; c1_id; c2_id; c1 = to_lits a;
+             c2 = Array.init n (fun i -> r.{off + i}) })
+    | vars ->
+      Diagnostics.fail
+        (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
+
+  (* [choose a order] is the live variable with the largest [order]. *)
+  let choose a order =
+    let v = ref (-1) and best = ref (-1) in
+    for i = 0 to a.nvars - 1 do
+      let u = a.vars.(i) in
+      if mask a u <> 0 && order u > !best then (best := order u; v := u)
+    done;
+    !v
+end
+
 type t = {
   db : Clause_db.t;
   meter : Harness.Meter.t;
@@ -11,7 +156,9 @@ type t = {
   mutable built : int;
   mutable steps : int;
   mutable merges : int;
-  mutable scratch : Clause_db.region;           (* merge output buffer *)
+  acc : Acc.t;                                  (* {!chain}'s accumulator *)
+  mutable acc_busy : bool;                      (* a {!chain} is running *)
+  mutable scratch : Clause_db.region;           (* {!chain}'s resolvent *)
 }
 
 (* Telemetry handles, resolved once.  The kernel updates them at chain
@@ -40,6 +187,8 @@ let create ?meter formula =
     built = 0;
     steps = 0;
     merges = 0;
+    acc = Acc.create ();
+    acc_busy = false;
     scratch = Clause_db.make_region 64;
   }
 
@@ -75,119 +224,42 @@ let release_id t id =
 
 (* --- resolution -------------------------------------------------------- *)
 
-let phase_bit l = if Sat.Lit.is_neg l then 2 else 1
-let swap_mask m = ((m land 1) lsl 1) lor ((m lsr 1) land 1)
+let region db = Clause_db.ro_region (Clause_db.freeze db)
 
-(* [var_mask r stop p] is the phase mask of the variable at [r.{!p}],
-   advancing [p] past every literal of that variable. *)
-let var_mask (r : Clause_db.region) stop p =
-  let v = Sat.Lit.var r.{!p} in
-  let m = ref 0 in
-  while !p < stop && Sat.Lit.var r.{!p} = v do
-    m := !m lor phase_bit r.{!p};
-    incr p
-  done;
-  !m
+let load_clause t a h =
+  Acc.load a (region t.db) (Clause_db.lits_offset h) (Clause_db.size t.db h)
 
-(* Both operands are sorted duplicate-free packed-literal runs, so both
-   phases of a variable sit adjacently and one linear merge walk finds the
-   clashing variables: a variable whose phase masks overlap crosswise. *)
-let clashing_vars (a : Clause_db.region) ai an (b : Clause_db.region) bi bn =
-  let clashes = ref [] in
-  let i = ref ai and j = ref bi in
-  let ea = ai + an and eb = bi + bn in
-  while !i < ea && !j < eb do
-    let v1 = Sat.Lit.var a.{!i} and v2 = Sat.Lit.var b.{!j} in
-    if v1 < v2 then ignore (var_mask a ea i)
-    else if v2 < v1 then ignore (var_mask b eb j)
-    else begin
-      let m1 = var_mask a ea i in
-      let m2 = var_mask b eb j in
-      if m1 land swap_mask m2 <> 0 then clashes := v1 :: !clashes
-    end
-  done;
-  List.rev !clashes
-
-let run_lits (r : Clause_db.region) off n = Array.init n (fun i -> r.{off + i})
-
-(* The one checked resolution: the paper's side condition (exactly one
-   clashing variable) is enforced here and nowhere else.  It touches no
-   kernel state, so par's worker domains run it concurrently. *)
-let resolve ~context ~c1_id ~c2_id (a : Clause_db.region) ai an
-    (b : Clause_db.region) bi bn (out : Clause_db.region) =
+(* One counted step against store clause [h] behind [size]'s lifetime
+   guard; the region is re-read, as a [fetch] may have grown the arena. *)
+let step_clause t a ~context ~c1_id ~c2_id h =
+  let n = Clause_db.size t.db h in
   let pivot =
-    match clashing_vars a ai an b bi bn with
-    | [ v ] -> v
-    | [] ->
-      Diagnostics.fail
-        (Diagnostics.No_clash
-           { context; c1_id; c2_id;
-             c1 = run_lits a ai an; c2 = run_lits b bi bn })
-    | vars ->
-      Diagnostics.fail
-        (Diagnostics.Multiple_clash { context; c1_id; c2_id; vars })
-  in
-  let k = ref 0 and merges = ref 0 in
-  let i = ref ai and j = ref bi in
-  let ea = ai + an and eb = bi + bn in
-  let emit l =
-    if Sat.Lit.var l <> pivot then begin
-      out.{!k} <- l;
-      incr k
-    end
-  in
-  while !i < ea && !j < eb do
-    let l1 = a.{!i} and l2 = b.{!j} in
-    if l1 = l2 then begin
-      emit l1;
-      if Sat.Lit.var l1 <> pivot then incr merges;
-      incr i;
-      incr j
-    end
-    else if l1 < l2 then begin
-      emit l1;
-      incr i
-    end
-    else begin
-      emit l2;
-      incr j
-    end
-  done;
-  while !i < ea do
-    emit a.{!i};
-    incr i
-  done;
-  while !j < eb do
-    emit b.{!j};
-    incr j
-  done;
-  (!k, pivot, !merges)
-
-(* One sequential step on two published store clauses.  [size] keeps the
-   lifetime guard on both operands, which are then read in place through
-   a frozen view; the resolvent is published as a fresh arena clause, so
-   a nested chain run by a later [fetch] cannot clobber it. *)
-let step t ~context ~c1_id ~c2_id h1 h2 =
-  let n1 = Clause_db.size t.db h1 and n2 = Clause_db.size t.db h2 in
-  t.scratch <- Clause_db.ensure_region t.scratch (n1 + n2);
-  let r = Clause_db.ro_region (Clause_db.freeze t.db) in
-  let k, pivot, merges =
-    resolve ~context ~c1_id ~c2_id r (Clause_db.lits_offset h1) n1 r
-      (Clause_db.lits_offset h2) n2 t.scratch
+    Acc.step a ~context ~c1_id ~c2_id (region t.db) (Clause_db.lits_offset h) n
   in
   t.steps <- t.steps + 1;
-  t.merges <- t.merges + merges;
-  (Clause_db.alloc_sorted t.db t.scratch k, pivot)
+  pivot
+
+(* [with_acc t f] runs [f] on the kernel's accumulator, or on a fresh one
+   when a [fetch] runs a chain inside another: nested chains never share
+   running state. *)
+let with_acc t f =
+  if t.acc_busy then f (Acc.create ())
+  else begin
+    t.acc_busy <- true;
+    Fun.protect ~finally:(fun () -> t.acc_busy <- false) (fun () -> f t.acc)
+  end
 
 let resolve_lits t ~context ~c1_id ~c2_id c1 c2 =
   let h1 = Clause_db.alloc t.db c1 in
   let h2 = Clause_db.alloc t.db c2 in
-  let r, pivot = step t ~context ~c1_id ~c2_id h1 h2 in
-  let out = Clause_db.lits t.db r in
-  Clause_db.release t.db r;
+  with_acc t @@ fun a ->
+  Acc.start a;
+  load_clause t a h1;
+  let pivot = step_clause t a ~context ~c1_id ~c2_id h2 in
+  t.merges <- t.merges + Acc.merges a;
   Clause_db.release t.db h1;
   Clause_db.release t.db h2;
-  (out, pivot)
+  (Acc.to_lits a, pivot)
 
 (* [peek t id] is the read-only id lookup: never materialises an original,
    never mutates — the only table access worker domains are allowed. *)
@@ -207,8 +279,9 @@ let observe_chain t ~nsources ~steps =
   end
 
 (* [record_external_chain t ~learned_id ~steps ~merges] folds the counter
-   deltas of a chain a worker domain ran through {!resolve} into the
-   kernel's totals, so reports agree exactly with a sequential run.  Single-threaded: call only at a barrier. *)
+   deltas of a chain a worker domain ran on its own accumulator into the
+   kernel's totals, so reports agree exactly with a sequential run.
+   Single-threaded: call only at a barrier. *)
 let record_external_chain t ~learned_id ~steps ~merges =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
@@ -223,32 +296,31 @@ let chain t ~context ~fetch ~combine ~learned_id ids =
   t.built <- t.built + 1;
   t.built_ids <- learned_id :: t.built_ids;
   t.built_sorted <- None;
-  let steps_before = t.steps in
+  let n = Array.length ids in
   let h0, a0 = fetch ids.(0) in
-  if Array.length ids = 1 then begin
+  if n = 1 then begin
     (* a degenerate learned clause is the source clause itself *)
     Clause_db.retain t.db h0;
     observe_chain t ~nsources:1 ~steps:0;
     (h0, a0)
   end
-  else begin
-    let cur = ref h0 and ann = ref a0 in
-    let cur_id = ref ids.(0) in
-    let owned = ref false in
-    for idx = 1 to Array.length ids - 1 do
-      let h, a = fetch ids.(idx) in
-      let r, pivot =
-        step t ~context ~c1_id:!cur_id ~c2_id:ids.(idx) !cur h
-      in
-      if !owned then Clause_db.release t.db !cur;
-      owned := true;
-      cur := r;
-      ann := combine ~pivot !ann a;
-      cur_id := learned_id (* intermediate resolvents belong to the learned id *)
+  else
+    with_acc t @@ fun a ->
+    Acc.start a;
+    load_clause t a h0;
+    let ann = ref a0 in
+    for idx = 1 to n - 1 do
+      let h, a' = fetch ids.(idx) in
+      (* intermediate resolvents belong to the learned id *)
+      let c1_id = if idx = 1 then ids.(0) else learned_id in
+      let pivot = step_clause t a ~context ~c1_id ~c2_id:ids.(idx) h in
+      ann := combine ~pivot !ann a'
     done;
-    observe_chain t ~nsources:(Array.length ids) ~steps:(t.steps - steps_before);
-    (!cur, !ann)
-  end
+    t.merges <- t.merges + Acc.merges a;
+    t.scratch <- Clause_db.ensure_region t.scratch (Acc.size a);
+    let h = Clause_db.alloc_sorted t.db t.scratch (Acc.finish a t.scratch) in
+    observe_chain t ~nsources:n ~steps:(n - 1);
+    (h, !ann)
 
 let unit_combine ~pivot:_ () () = ()
 
@@ -510,52 +582,41 @@ let build b root =
 let context_final = "empty-clause construction"
 
 let final_chain t ~l0 ~fetch ~combine ~conflict_id =
-  let db = t.db in
   let h0, a0 = fetch conflict_id in
-  Clause_db.iter_lits db h0 (fun l ->
+  Clause_db.iter_lits t.db h0 (fun l ->
       if not (Level0.lit_false l0 l) then
         Diagnostics.fail
           (Diagnostics.Final_literal_not_false
              { clause_id = conflict_id; lit = l }));
-  let cur = ref h0 and ann = ref a0 in
-  let cur_id = ref conflict_id in
-  let owned = ref false in
+  (* a fresh accumulator of its own: [fetch] may build, running chains *)
+  let a = Acc.create () in
+  load_clause t a h0;
+  let ann = ref a0 in
   let steps = ref 0 in
-  while Clause_db.size db !cur > 0 do
+  while Acc.size a > 0 do
     (* reverse chronological choice: the literal whose variable was
        assigned last — the paper's choose_literal, which guarantees
        termination in at most n resolutions *)
-    let v = ref (-1) and best = ref (-1) in
-    Clause_db.iter_lits db !cur (fun l ->
-        let u = Sat.Lit.var l in
-        let o = Level0.order l0 u in
-        if o > !best then begin
-          best := o;
-          v := u
-        end);
-    let v = !v in
+    let v = Acc.choose a (Level0.order l0) in
     let ante_id = Level0.ante l0 v in
     let ha, aa = fetch ante_id in
-    (match Level0.check_antecedent l0 ~var:v (Clause_db.lits db ha) with
+    (match Level0.check_antecedent l0 ~var:v (Clause_db.lits t.db ha) with
      | None -> ()
      | Some reason ->
        Diagnostics.fail
          (Diagnostics.Antecedent_mismatch { var = v; ante = ante_id; reason }));
-    let r, pivot =
-      step t ~context:context_final ~c1_id:!cur_id ~c2_id:ante_id !cur ha
+    let c1_id = if !steps = 0 then conflict_id else -1 (* intermediate *) in
+    let pivot =
+      step_clause t a ~context:context_final ~c1_id ~c2_id:ante_id ha
     in
     if pivot <> v then
       Diagnostics.fail
         (Diagnostics.Wrong_pivot
            { context = context_final; expected = v; actual = pivot });
-    if !owned then Clause_db.release db !cur;
-    owned := true;
     incr steps;
-    ann := combine ~pivot !ann aa;
-    cur := r;
-    cur_id := -1 (* intermediate chain resolvent *)
+    ann := combine ~pivot !ann aa
   done;
-  if !owned then Clause_db.release db !cur;
+  t.merges <- t.merges + Acc.merges a;
   (!ann, !steps)
 
 let final_chain_ids t ~l0 ~fetch ~conflict_id =

@@ -1,6 +1,5 @@
-(** The shared resolution kernel: one checked sorted-merge resolution
-    routine plus the proof-DAG traversal machinery every checker is built
-    on.
+(** The shared resolution kernel: one checked chain accumulator plus the
+    proof-DAG traversal machinery every checker is built on.
 
     A kernel owns a {!Clause_db}, the formula's original clauses
     (materialised into the store on first use, which also marks them as
@@ -18,9 +17,9 @@
       (McMillan's rule) rides the same traversal as plain checking.
 
     Every checked resolution in the system — each step of {!chain} and
-    {!final_chain}, and every step par's worker domains replay — goes
-    through the one routine {!resolve} here, which enforces the paper's
-    side condition: exactly one variable in opposite phases, no
+    {!final_chain}, and every step par's worker domains replay — is a
+    {!Acc.step} of the one chain accumulator here, which enforces the
+    paper's side condition: exactly one variable in opposite phases, no
     tautological resolvents.  It is also the only place that raises
     [No_clash] or [Multiple_clash]. *)
 
@@ -53,41 +52,53 @@ val release_id : t -> int -> unit
 
 (** {2 Resolution} *)
 
-(** [resolve ~context ~c1_id ~c2_id a ai an b bi bn out] resolves the
-    sorted duplicate-free packed-literal runs [a.{ai .. ai+an-1}] and
-    [b.{bi .. bi+bn-1}] into [out.{0 ..}] (capacity at least [an + bn]),
-    returning [(resolvent length, pivot, merged literal count)].  The
-    runs may be two clauses of one frozen store view (the sequential
-    chains) or a worker's scratch and a view clause (par).  Touches no
-    kernel state and updates no counters, so any number of domains may
-    run it at once.
-    @raise Diagnostics.Check_failed with [No_clash] (naming both literal
-    lists) or [Multiple_clash] when the side condition fails. *)
-val resolve :
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  Clause_db.region ->
-  int ->
-  int ->
-  Clause_db.region ->
-  int ->
-  int ->
-  Clause_db.region ->
-  int * Sat.Lit.var * int
+(** The chain accumulator: one chain's running resolvent as a
+    per-variable stamp array (generation, phase mask) plus the variables
+    stamped so far.  A chain is {!Acc.start}, {!Acc.load} of its first
+    clause, one {!Acc.step} per further source, and {!Acc.finish}, which
+    writes the sorted resolvent once.  Each owner holds its own instance:
+    the kernel for {!chain}, {!final_chain} one per call, and each of
+    par's worker domains one. *)
+module Acc : sig
+  type t
 
-(** [resolve_lits t ~context ~c1_id ~c2_id c1 c2] is one counted
-    {!chain} step on plain literal arrays (tests and micro-benchmarks):
-    the operands are staged through the store and released, and the
-    resolvent is returned with its pivot. *)
+  (** [create ()] is an accumulator holding an empty, started chain. *)
+  val create : unit -> t
+
+  (** [start a] begins a new chain in O(1), forgetting the previous one. *)
+  val start : t -> unit
+
+  (** [load a r off n] stamps the sorted duplicate-free packed-literal run
+      [r.{off .. off+n-1}] as the chain's first clause. *)
+  val load : t -> Clause_db.region -> int -> int -> unit
+
+  (** [step a ~context ~c1_id ~c2_id r off n] resolves the running
+      resolvent with the sorted run [r.{off .. off+n-1}] in O(n) and
+      returns the pivot.
+      @raise Diagnostics.Check_failed with [No_clash] (naming the sorted
+      running resolvent and the run's literals) or [Multiple_clash] (the
+      clashing variables, ascending) when the side condition fails. *)
+  val step :
+    t -> context:string -> c1_id:int -> c2_id:int ->
+    Clause_db.region -> int -> int -> Sat.Lit.var
+
+  (** [size a] is the running resolvent's literal count; [merges a] counts
+      the literals both operands held, this chain. *)
+  val size : t -> int
+  val merges : t -> int
+
+  (** [finish a out] writes the sorted running resolvent into [out]
+      (capacity at least [size a]) and returns its length. *)
+  val finish : t -> Clause_db.region -> int
+end
+
+(** [resolve_lits t ~context ~c1_id ~c2_id c1 c2] is a counted one-step
+    chain on plain literal arrays (tests and micro-benchmarks): the
+    operands are staged through the store and released, and the resolvent
+    is returned with its pivot. *)
 val resolve_lits :
-  t ->
-  context:string ->
-  c1_id:int ->
-  c2_id:int ->
-  Sat.Lit.t array ->
-  Sat.Lit.t array ->
-  Sat.Lit.t array * Sat.Lit.var
+  t -> context:string -> c1_id:int -> c2_id:int ->
+  Sat.Lit.t array -> Sat.Lit.t array -> Sat.Lit.t array * Sat.Lit.var
 
 (** [peek t id] is the read-only id lookup: [None] when [id] is unbound,
     never materialises an original clause, never mutates.  The only id
@@ -96,19 +107,21 @@ val peek : t -> int -> Clause_db.handle option
 
 (** [record_external_chain t ~learned_id ~steps ~merges] folds the
     counter deltas of one learned-clause chain a worker domain ran
-    through {!resolve} into the kernel totals (one built clause, [steps]
+    on its own {!Acc.t} into the kernel totals (one built clause, [steps]
     resolutions, [merges] merged literals), keeping reports identical to
     a sequential run.  Single-threaded: call only at a barrier. *)
 val record_external_chain :
   t -> learned_id:int -> steps:int -> merges:int -> unit
 
 (** [chain t ~context ~fetch ~combine ~learned_id ids] folds checked
-    resolution ({!resolve}) left-to-right over the clauses named by [ids],
-    threading an annotation through [combine] at each step, and returns
-    the final clause (a handle owned by the caller — for a single-element
-    chain, a retained alias of the source) with its annotation.  Every
-    intermediate resolvent is published as an arena clause and released
-    one step later, since [fetch] may itself run a nested chain.  A failing
+    resolution ({!Acc.step}) left-to-right over the clauses named by
+    [ids], threading an annotation through [combine] at each step, and
+    returns the final clause (a handle owned by the caller — for a
+    single-element chain, a retained alias of the source) with its
+    annotation.  Intermediate resolvents live only in the kernel's
+    accumulator: a multi-source chain allocates exactly one arena clause,
+    its result.  A chain run by [fetch] inside another gets a fresh
+    accumulator, so nested chains never share running state.  A failing
     step names the learned id as [c1_id] once the running resolvent is an
     intermediate.  Counts one built clause.
     @raise Diagnostics.Check_failed on any invalid step, and with
@@ -232,9 +245,10 @@ val build : 'a builder -> int -> Clause_db.handle * 'a
 (** [final_chain t ~l0 ~fetch ~combine ~conflict_id] resolves the final
     conflicting clause against recorded antecedents in reverse
     chronological order down to the empty clause, checking antecedent
-    validity and pivot choice at each step; each step is a {!resolve}
-    whose failure names [-1] as [c1_id] once the running clause is an
-    intermediate.  Returns the final annotation and the chain length. *)
+    validity and pivot choice at each step; each step is an {!Acc.step}
+    on an accumulator of its own (so [fetch] may run nested chains) whose
+    failure names [-1] as [c1_id] once the running clause is an
+    intermediate; choose_literal walks the stamped variables.  Returns the final annotation and the chain length. *)
 val final_chain :
   t ->
   l0:Level0.t ->

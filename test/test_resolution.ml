@@ -196,6 +196,127 @@ let prop_matches_reference =
         m.vars = Sat.Clause.clashing_vars c1 c2
         && List.length m.vars > 1)
 
+(* Chain oracle: [Kernel.chain_ids] against a left fold of the reference
+   [Clause.resolve] over random chains of 2..8 clauses.  Steps usually
+   resolve on a literal of the running clause, sometimes not; clauses may
+   repeat literals or hold both phases of a variable, which the store
+   keeps.  The final clause, the step and merge counters, and a failing
+   step's diagnostic (with the [c1_id] convention: the first source, then
+   the learned id) must all agree. *)
+let uniq c = Array.of_list (List.sort_uniq Int.compare (Array.to_list c))
+
+let prop_chain_matches_fold =
+  Helpers.qtest ~count:500 "chain = fold of Clause.resolve"
+    QCheck.(small_int)
+    (fun seed ->
+      let rng = Sat.Rng.create seed in
+      let nvars = 6 in
+      let lit () = Sat.Lit.make (1 + Sat.Rng.int rng nvars) (Sat.Rng.bool rng) in
+      let random () = Array.init (Sat.Rng.int rng 5) (fun _ -> lit ()) in
+      let n = 2 + Sat.Rng.int rng 7 in
+      (* sources, generated against the reference running clause *)
+      let clauses = Array.make n [||] in
+      clauses.(0) <- random ();
+      let cur = ref (uniq clauses.(0)) in
+      for i = 1 to n - 1 do
+        let c =
+          if Array.length !cur > 0 && Sat.Rng.int rng 4 > 0 then
+            Array.append
+              [| Sat.Lit.negate !cur.(Sat.Rng.int rng (Array.length !cur)) |]
+              (Array.init (Sat.Rng.int rng 3) (fun _ -> lit ()))
+          else random ()
+        in
+        clauses.(i) <- c;
+        match Sat.Clause.clashing_vars !cur c with
+        | [ v ] -> cur := uniq (Sat.Clause.resolve !cur c v)
+        | _ -> ()
+      done;
+      let k = Proof.Kernel.create (Sat.Cnf.create nvars) in
+      let db = Proof.Kernel.db k in
+      let handles = Array.map (Proof.Clause_db.alloc db) clauses in
+      let learned_id = 100 in
+      (* the reference fold, stopping at the first failing step *)
+      let cur = ref (uniq clauses.(0)) and merges = ref 0 in
+      let failure = ref None and i = ref 1 in
+      while !failure = None && !i < n do
+        let c = uniq clauses.(!i) in
+        let c1_id = if !i = 1 then 0 else learned_id in
+        (match Sat.Clause.clashing_vars !cur c with
+         | [ v ] ->
+           Array.iter
+             (fun l ->
+               if Sat.Lit.var l <> v && Array.mem l !cur then incr merges)
+             c;
+           cur := uniq (Sat.Clause.resolve !cur c v)
+         | [] -> failure := Some (`No_clash (c1_id, !i, !cur, c))
+         | vars -> failure := Some (`Multiple (c1_id, !i, vars)));
+        incr i
+      done;
+      let before = Proof.Kernel.counters k in
+      match
+        Proof.Kernel.chain_ids k ~context:"qc"
+          ~fetch:(fun id -> handles.(id))
+          ~learned_id (Array.init n Fun.id)
+      with
+      | h ->
+        let after = Proof.Kernel.counters k in
+        !failure = None
+        && Proof.Clause_db.lits db h = !cur
+        && after.resolution_steps - before.resolution_steps = n - 1
+        && after.merged_literals - before.merged_literals = !merges
+      | exception Checker.Diagnostics.Check_failed (No_clash d) -> (
+        match !failure with
+        | Some (`No_clash (c1_id, c2_id, c1, c2)) ->
+          d.c1_id = c1_id && d.c2_id = c2_id && d.c1 = c1 && d.c2 = c2
+        | _ -> false)
+      | exception Checker.Diagnostics.Check_failed (Multiple_clash d) -> (
+        match !failure with
+        | Some (`Multiple (c1_id, c2_id, vars)) ->
+          d.c1_id = c1_id && d.c2_id = c2_id && d.vars = vars
+        | _ -> false))
+
+let test_chain_allocates_once () =
+  (* intermediates never reach the arena: one clause per chain *)
+  let k = kernel () in
+  let db = Proof.Kernel.db k in
+  let clauses =
+    [| [ 1; 2 ]; [ -2; 3 ]; [ -3; 4 ]; [ -4; 5 ] |]
+    |> Array.map (fun c -> Proof.Clause_db.alloc db (Sat.Clause.of_ints c))
+  in
+  let before = Proof.Clause_db.clauses_allocated db in
+  let h =
+    Proof.Kernel.chain_ids k ~context:"test"
+      ~fetch:(fun i -> clauses.(i))
+      ~learned_id:9 [| 0; 1; 2; 3 |]
+  in
+  Alcotest.check Alcotest.int "one allocation" 1
+    (Proof.Clause_db.clauses_allocated db - before);
+  Alcotest.check (Alcotest.list Alcotest.int) "resolvent" [ 1; 5 ]
+    (sorted (Proof.Clause_db.lits db h))
+
+let test_nested_chain () =
+  (* a fetch that runs a chain on the same kernel mid-chain: (1 2)(-2 3)
+     then the nested (-3 4)(-4 5) = (-3 5) must give (1 5), never a
+     resolvent built from clobbered running state *)
+  let k = kernel () in
+  let db = Proof.Kernel.db k in
+  let store c = Proof.Clause_db.alloc db (Sat.Clause.of_ints c) in
+  let plain = [| store [ 1; 2 ]; store [ -2; 3 ]; store [ -3; 4 ]; store [ -4; 5 ] |] in
+  let fetch = function
+    | 2 ->
+      Proof.Kernel.chain_ids k ~context:"nested"
+        ~fetch:(fun i -> plain.(i))
+        ~learned_id:50 [| 2; 3 |]
+    | i -> plain.(i)
+  in
+  match
+    Proof.Kernel.chain_ids k ~context:"outer" ~fetch ~learned_id:51 [| 0; 1; 2 |]
+  with
+  | h ->
+    Alcotest.check (Alcotest.list Alcotest.int) "outer resolvent" [ 1; 5 ]
+      (sorted (Proof.Clause_db.lits db h))
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ( "resolution-kernel",
@@ -215,5 +336,9 @@ let suite =
         Alcotest.test_case "db meter accounting" `Quick test_db_meter_accounting;
         Alcotest.test_case "db arena growth" `Quick test_db_grows;
         prop_matches_reference;
+        prop_chain_matches_fold;
+        Alcotest.test_case "chain allocates once" `Quick
+          test_chain_allocates_once;
+        Alcotest.test_case "nested chain" `Quick test_nested_chain;
       ] );
   ]
