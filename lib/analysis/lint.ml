@@ -248,35 +248,68 @@ type state = {
   deleted : (int, unit) Hashtbl.t;      (* ids named by delete hints *)
   mutable conflict_seen : bool;
   mutable after_conflict_reported : bool;
-  (* normalized original clauses ([None] = tautological), id-1 indexed;
-     empty without a formula.  Feeds the L7xx chain simulation. *)
-  originals : Sat.Clause.t option array;
-  (* normalized-clause key -> id, built on first use: only a cleanly
-     simulated all-original chain (L703) reads it *)
-  mutable orig_keys : (string, int) Hashtbl.t option;
+  (* the formula's clauses, id-1 indexed; empty without a formula *)
+  formula_clauses : Sat.Clause.t array;
+  (* their normal forms, filled in on first use by the L7xx chain
+     simulation: most originals never enter an all-original chain *)
+  originals : original array;
+  (* [fingerprint] -> original ids in ascending order, built on first
+     use: only a cleanly simulated all-original chain (L703) reads it *)
+  mutable orig_index : (int, int list) Hashtbl.t option;
 }
 
-(* Canonical key of a normalized clause: [Clause.normalize] sorts
-   literals, so equal clause sets render identically. *)
-let clause_key c =
-  String.concat "," (List.map string_of_int (Sat.Clause.to_ints c))
+and original =
+  | Unseen
+  | Tautology
+  | Normal of Sat.Clause.t
 
-let orig_keys st =
-  match st.orig_keys with
-  | Some keys -> keys
+(* [original st id] is the normal form of original clause [id], computed
+   once. *)
+let original st id =
+  match st.originals.(id - 1) with
+  | Unseen ->
+    let o =
+      match Sat.Clause.normalize st.formula_clauses.(id - 1) with
+      | None -> Tautology
+      | Some c -> Normal c
+    in
+    st.originals.(id - 1) <- o;
+    o
+  | o -> o
+
+(* A hash of a clause's literal set that ignores literal order and
+   repeats, so a raw original and its normal form agree on it: the index
+   finds the candidates for L703 without normalizing every original. *)
+let fingerprint c =
+  let lo = ref max_int and hi = ref 0 and bits = ref 0 in
+  Array.iter
+    (fun l ->
+      if l < !lo then lo := l;
+      if l > !hi then hi := l;
+      bits := !bits lor (1 lsl (l mod 62)))
+    c;
+  (((!bits * 31) + !lo) * 31) + !hi
+
+let orig_index st =
+  match st.orig_index with
+  | Some index -> index
   | None ->
-    let keys = Hashtbl.create (2 * Array.length st.originals + 1) in
-    Array.iteri
-      (fun i c ->
-        match c with
-        | None -> ()
-        | Some n ->
-          (* first definition wins: duplicates report the earliest id *)
-          let k = clause_key n in
-          if not (Hashtbl.mem keys k) then Hashtbl.add keys k (i + 1))
-      st.originals;
-    st.orig_keys <- Some keys;
-    keys
+    let n = Array.length st.formula_clauses in
+    let index = Hashtbl.create (2 * n + 1) in
+    for id = n downto 1 do
+      let k = fingerprint st.formula_clauses.(id - 1) in
+      let ids = Option.value (Hashtbl.find_opt index k) ~default:[] in
+      Hashtbl.replace index k (id :: ids)
+    done;
+    st.orig_index <- Some index;
+    index
+
+(* [rederived st r] is the first original whose normal form is [r]:
+   duplicates report the earliest id. *)
+let rederived st r =
+  Option.value (Hashtbl.find_opt (orig_index st) (fingerprint r)) ~default:[]
+  |> List.find_opt (fun id ->
+         match original st id with Normal c -> c = r | _ -> false)
 
 (* Telemetry handles; updates are guarded at the few lint hot points. *)
 let m_events = Obs.Metrics.counter Obs.Metrics.global "lint.events"
@@ -325,6 +358,10 @@ let resolvable st id =
        | None -> false)
      || Hashtbl.mem st.defined id)
 
+(* Only v2 traces carry delete hints; every v1 trace skips the lookup. *)
+let is_deleted st id =
+  Hashtbl.length st.deleted > 0 && Hashtbl.mem st.deleted id
+
 let check_header st pos (h : int * int) =
   let nvars, norig = h in
   (match st.header with
@@ -359,7 +396,7 @@ let check_learned st pos id sources =
           "clause %d references source %d, which is neither an original \
            clause nor a learned clause defined upstream"
           id s
-      else if Hashtbl.mem st.deleted s then
+      else if is_deleted st s then
         emit st pos Use_after_delete
           "clause %d resolves with source %d after its delete hint" id s;
       if (not !repeated) && i > 0 && sources.(i - 1) = s then begin
@@ -378,30 +415,37 @@ let check_learned st pos id sources =
      flag steps the resolution kernel would refuse (no clashing variable,
      or several).  Chains touching learned sources are skipped: their
      rebuilt clauses may carry level-0 literals the stream does not show.
-     Tautological originals are skipped too (already L404). *)
+     Tautological originals are skipped too (already L404).  Each step is
+     one sorted merge of normalized clauses whose single-clash resolvent
+     is normalized too. *)
   let n_orig_known = Array.length st.originals in
   if
     n_orig_known > 0
     && Array.length sources >= 2
     && Array.for_all (fun s -> s >= 1 && s <= n_orig_known) sources
-    && Array.for_all (fun s -> st.originals.(s - 1) <> None) sources
+    && Array.for_all
+         (fun s -> match original st s with Tautology -> false | _ -> true)
+         sources
   then begin
-    let get s = Option.get st.originals.(s - 1) in
-    let acc = ref (get sources.(0)) in
+    let normal s =
+      match original st s with
+      | Normal c -> c
+      | Unseen | Tautology -> assert false (* excluded just above *)
+    in
+    let acc = ref (normal sources.(0)) in
     let step_ok = ref true in
     let i = ref 1 in
     while !step_ok && !i < Array.length sources do
       let s = sources.(!i) in
-      let c = get s in
-      (match Sat.Clause.clashing_vars !acc c with
-       | [ v ] -> acc := Sat.Clause.resolve !acc c v
-       | [] ->
+      (match Sat.Clause.resolve_normalized !acc (normal s) with
+       | One_clash r -> acc := r
+       | No_clash ->
          step_ok := false;
          emit st pos Chain_no_clash
            "clause %d: chain step %d resolves against original clause %d \
             with no clashing variable"
            id !i s
-       | _ :: _ :: _ ->
+       | Multi_clash ->
          step_ok := false;
          emit st pos Chain_multi_clash
            "clause %d: chain step %d resolves against original clause %d \
@@ -410,14 +454,11 @@ let check_learned st pos id sources =
       incr i
     done;
     if !step_ok then
-      match Sat.Clause.normalize !acc with
+      match rederived st !acc with
+      | Some oid ->
+        emit st pos Redundant_derivation
+          "clause %d rederives original clause %d verbatim" id oid
       | None -> ()
-      | Some r -> (
-        match Hashtbl.find_opt (orig_keys st) (clause_key r) with
-        | Some oid ->
-          emit st pos Redundant_derivation
-            "clause %d rederives original clause %d verbatim" id oid
-        | None -> ())
   end
 
 let check_level0 st pos var ante =
@@ -434,7 +475,7 @@ let check_level0 st pos var ante =
   if not (resolvable st ante) then
     emit st pos Bad_antecedent
       "level-0 record for variable %d names undefined antecedent %d" var ante
-  else if Hashtbl.mem st.deleted ante then
+  else if is_deleted st ante then
     emit st pos Use_after_delete
       "level-0 record for variable %d names antecedent %d after its delete \
        hint"
@@ -444,7 +485,7 @@ let check_conflict st pos id =
   if not (resolvable st id) then
     emit st pos Conflict_unknown
       "final conflict references undefined clause %d" id
-  else if Hashtbl.mem st.deleted id then
+  else if is_deleted st id then
     emit st pos Use_after_delete
       "final conflict references clause %d after its delete hint" id;
   st.conflict_seen <- true
@@ -550,10 +591,8 @@ type stream = {
 }
 
 let stream_start ?formula ?(max_diagnostics = 100) ~binary () =
-  let originals =
-    match formula with
-    | None -> [||]
-    | Some f -> Array.map Sat.Clause.normalize (Sat.Cnf.clauses f)
+  let formula_clauses =
+    match formula with None -> [||] | Some f -> Sat.Cnf.clauses f
   in
   let st = {
     cap = max max_diagnostics 0;
@@ -574,8 +613,9 @@ let stream_start ?formula ?(max_diagnostics = 100) ~binary () =
     deleted = Hashtbl.create 256;
     conflict_seen = false;
     after_conflict_reported = false;
-    originals;
-    orig_keys = None;
+    formula_clauses;
+    originals = Array.make (Array.length formula_clauses) Unseen;
+    orig_index = None;
   } in
   let origin = if binary then Trace.Reader.Byte 0 else Trace.Reader.Line 0 in
   (match formula with

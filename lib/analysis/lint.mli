@@ -16,8 +16,15 @@
     enforces stream-order referencing (every source precedes its use), so
     a lint-clean trace is acyclic by construction.
 
-    Memory is O(#learned clauses) — one hash table of ids — and no
-    [Proof.Clause_db] is ever created. *)
+    Memory is O(#learned clauses) — one hash table of ids — plus, with a
+    formula, the normal forms of the originals the L7xx codes touch; no
+    [Proof.Clause_db] is ever created.
+
+    Time is linear in the trace, plus, for each chain the L7xx codes
+    simulate, one sorted merge per step
+    ({!Sat.Clause.resolve_normalized}, O(|running resolvent| + |source|));
+    originals are normalized lazily, when a chain or an L703 lookup
+    first needs them. *)
 
 type severity =
   | Error    (** the trace cannot possibly check; replay would fail *)

@@ -15,22 +15,48 @@ let g_resident =
 
 let g_spilled = Obs.Metrics.gauge Obs.Metrics.global "window.spilled_clauses"
 
+let g_reloaded =
+  Obs.Metrics.gauge Obs.Metrics.global "window.reloaded_clauses"
+
+(* Spilled clauses are written as 32-bit big-endian ints through a
+   buffered channel and read back with one positioned read each, straight
+   from the descriptor: a channel seek outside its buffer would discard
+   and refill a whole buffer per reload. *)
 type spill = {
   path : string;
   oc : out_channel;
-  ic : in_channel;
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;              (* reload bytes, grown on demand *)
   index : (int, int * int) Hashtbl.t; (* id -> (byte offset, lit count) *)
 }
 
 let spill_create () =
   let path = Filename.temp_file "window_spill" ".bin" in
-  { path; oc = open_out_bin path; ic = open_in_bin path;
-    index = Hashtbl.create 256 }
+  { path; oc = open_out_bin path;
+    fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0;
+    buf = Bytes.create 256; index = Hashtbl.create 256 }
 
 let spill_close s =
   close_out_noerr s.oc;
-  close_in_noerr s.ic;
+  (try Unix.close s.fd with Unix.Unix_error _ -> ());
   try Sys.remove s.path with Sys_error _ -> ()
+
+(* [spill_read s off n dst] decodes the [n] ints stored at byte [off]
+   into [dst.{0 .. n-1}]. *)
+let spill_read s off n (dst : Proof.Clause_db.region) =
+  let len = 4 * n in
+  if Bytes.length s.buf < len then
+    s.buf <- Bytes.create (max len (2 * Bytes.length s.buf));
+  ignore (Unix.lseek s.fd off Unix.SEEK_SET);
+  let got = ref 0 in
+  while !got < len do
+    let r = Unix.read s.fd s.buf !got (len - !got) in
+    if r = 0 then raise End_of_file;
+    got := !got + r
+  done;
+  for i = 0 to n - 1 do
+    dst.{i} <- Int32.to_int (Bytes.get_int32_be s.buf (4 * i))
+  done
 
 type state = {
   kernel : Proof.Kernel.t;
@@ -90,10 +116,7 @@ let reload st ~context id =
   | None -> Proof.Kernel.find st.kernel ~context id (* raises Unknown_clause *)
   | Some (off, n) ->
     st.scratch <- Proof.Clause_db.ensure_region st.scratch n;
-    seek_in st.spill.ic off;
-    for i = 0 to n - 1 do
-      st.scratch.{i} <- input_binary_int st.spill.ic
-    done;
+    spill_read st.spill off n st.scratch;
     st.reloaded <- st.reloaded + 1;
     if Obs.Journal.on () then
       Obs.Journal.record ~sub:"window" "reload"
@@ -175,7 +198,8 @@ let check ?meter ?format ?io ?first_pass ?on_stats ~window formula source =
   spill_close st.spill;
   if Obs.Ctl.on () then begin
     Obs.Metrics.Gauge.set g_resident (float_of_int st.max_resident);
-    Obs.Metrics.Gauge.set g_spilled (float_of_int st.spilled)
+    Obs.Metrics.Gauge.set g_spilled (float_of_int st.spilled);
+    Obs.Metrics.Gauge.set g_reloaded (float_of_int st.reloaded)
   end;
   Option.iter
     (fun f ->

@@ -6,8 +6,10 @@
     learned clauses plus one chain's operands, and everything the checker
     reports is identical to {!Bf.check}. *)
 
-(** Per-run scheduler counters, also exported as the
-    [window.resident_clauses] / [window.spilled_clauses] gauges. *)
+(** Per-run scheduler counters, also exported (with observability on)
+    as the [window.resident_clauses] ([max_resident]),
+    [window.spilled_clauses] ([spilled]) and [window.reloaded_clauses]
+    ([reloaded]) gauges. *)
 type stats = {
   windows : int;      (** boundaries crossed *)
   spilled : int;      (** learned clauses written to the spill file *)

@@ -57,6 +57,53 @@ let resolve c1 c2 v =
   in
   sorted_dedup (Array.of_list lits)
 
+type merge =
+  | No_clash
+  | One_clash of t
+  | Multi_clash
+
+(* One sorted-merge walk.  With literals packed [2v + sign], the two
+   phases of a variable sort next to each other, so equal literals meet
+   as [a = b] and a clash as equal variables with [a <> b].  On a single
+   clash the unwalked tail of one operand is appended. *)
+let resolve_normalized c1 c2 =
+  let n1 = Array.length c1 and n2 = Array.length c2 in
+  let out = Array.make (n1 + n2) Lit.undef in
+  let i = ref 0 and j = ref 0 and k = ref 0 and clashes = ref 0 in
+  while !clashes < 2 && !i < n1 && !j < n2 do
+    let a = c1.(!i) and b = c2.(!j) in
+    if a = b then begin
+      out.(!k) <- a;
+      incr k;
+      incr i;
+      incr j
+    end
+    else if Lit.var a = Lit.var b then begin
+      incr clashes;
+      incr i;
+      incr j
+    end
+    else if a < b then begin
+      out.(!k) <- a;
+      incr k;
+      incr i
+    end
+    else begin
+      out.(!k) <- b;
+      incr k;
+      incr j
+    end
+  done;
+  match !clashes with
+  | 0 -> No_clash
+  | 1 ->
+    (* at most one of the two tails is non-empty *)
+    Array.blit c1 !i out !k (n1 - !i);
+    let k = !k + n1 - !i in
+    Array.blit c2 !j out k (n2 - !j);
+    One_clash (Array.sub out 0 (k + n2 - !j))
+  | _ -> Multi_clash
+
 let equal_modulo_order c1 c2 = sorted_dedup c1 = sorted_dedup c2
 
 let to_string c =

@@ -32,6 +32,21 @@ val clashing_vars : t -> t -> Lit.var list
     tautology, which the paper's framework never produces). *)
 val resolve : t -> t -> Lit.var -> t
 
+(** Outcome of {!resolve_normalized}. *)
+type merge =
+  | No_clash             (** no variable clashes *)
+  | One_clash of t       (** exactly one clashes: the sorted resolvent *)
+  | Multi_clash          (** several clash: the resolvent is tautological *)
+
+(** [resolve_normalized c1 c2] resolves two {e normalized} clauses (as
+    {!normalize} returns them: sorted, duplicate-free, non-tautological)
+    in one sorted-merge walk, O(|c1| + |c2|).  A [One_clash] resolvent is
+    normalized too, so chains fold without renormalizing.  On normalized
+    operands it agrees with {!clashing_vars} and {!resolve}, which stay
+    the reference definitions; on other inputs the result is
+    unspecified. *)
+val resolve_normalized : t -> t -> merge
+
 (** [equal_modulo_order c1 c2] compares clauses as literal sets. *)
 val equal_modulo_order : t -> t -> bool
 

@@ -12,7 +12,8 @@
      structured families and both trace encodings, with unsat cores
      pinned to original DIMACS clause indices;
    - lint-clean acceptance for generated pre traces (plain and hinted);
-   - L7xx linter codes on synthetic simplifier-shaped records;
+   - L7xx linter codes on synthetic simplifier-shaped records, and a
+     differential property against a fold of the reference resolution;
    - inprocessing: traces from runs with a periodic level-0 database
      simplification still check (plain and hinted). *)
 
@@ -303,6 +304,180 @@ let test_l7xx_silent_on_valid_chain () =
   Alcotest.(check int) "no L702" 0 (code_count report "L702");
   Alcotest.(check int) "no L703" 0 (code_count report "L703")
 
+(* Differential L7xx: Lint's chain simulation against a left fold of the
+   reference [Clause.clashing_vars] / [resolve] / [normalize] over random
+   chains of 2..8 sources.  Originals come from a few variables, so they
+   repeat literals, turn tautological and duplicate each other (some are
+   verbatim or reordered copies of earlier ones).  Most chain steps pick
+   an original that clashes with the running clause on exactly one
+   variable, so chains run deep, and half the chains that resolve cleanly
+   get their result planted back as one or two later originals
+   (reordered, maybe with a repeated literal), so L703 fires on long
+   resolvents and must pick the first of several matches.  The
+   L7xx codes and messages, in stream order, and their counts must
+   agree. *)
+let l7xx = [ "L701"; "L702"; "L703" ]
+
+(* the reference fold: [Ok] the chain's normalized result, or the first
+   failing step and its code *)
+let reference_chain norm src =
+  let rec fold i cur =
+    if i = Array.length src then Ok (Option.get (Sat.Clause.normalize cur))
+    else
+      let c = Option.get norm.(src.(i) - 1) in
+      match Sat.Clause.clashing_vars cur c with
+      | [ v ] -> fold (i + 1) (Sat.Clause.resolve cur c v)
+      | [] -> Error (i, "L701")
+      | _ -> Error (i, "L702")
+  in
+  fold 1 (Option.get norm.(src.(0) - 1))
+
+let prop_l7xx_matches_reference =
+  Helpers.qtest ~count:300 "L7xx = fold of Clause.resolve"
+    QCheck.(small_int)
+    (fun seed ->
+      let rng = Sat.Rng.create seed in
+      let nvars = 2 + Sat.Rng.int rng 5 in
+      let lit () = Sat.Lit.make (1 + Sat.Rng.int rng nvars) (Sat.Rng.bool rng) in
+      let n0 = 2 + Sat.Rng.int rng 9 in
+      let origs = Array.make n0 [||] in
+      for i = 0 to n0 - 1 do
+        origs.(i) <-
+          (if i > 0 && Sat.Rng.int rng 4 = 0 then begin
+             let c = Array.copy origs.(Sat.Rng.int rng i) in
+             Sat.Rng.shuffle rng c;
+             c
+           end
+           else Array.init (1 + Sat.Rng.int rng 4) (fun _ -> lit ()))
+      done;
+      let norm0 = Array.map Sat.Clause.normalize origs in
+      let resolves cur id =
+        match norm0.(id - 1) with
+        | Some c -> List.length (Sat.Clause.clashing_vars cur c) = 1
+        | None -> false
+      in
+      let nchains = 1 + Sat.Rng.int rng 5 in
+      (* sources over the first [n0] originals; [0] cites the previous
+         learned clause, which takes the chain out of simulation *)
+      let chains =
+        List.init nchains (fun k ->
+            let first = 1 + Sat.Rng.int rng n0 in
+            let src = ref [ first ] in
+            let cur = ref (Option.value norm0.(first - 1) ~default:[||]) in
+            for _ = 2 to 2 + Sat.Rng.int rng 7 do
+              let singles =
+                List.filter (resolves !cur) (List.init n0 (fun i -> i + 1))
+              in
+              let s =
+                if singles <> [] && Sat.Rng.int rng 8 > 0 then
+                  List.nth singles (Sat.Rng.int rng (List.length singles))
+                else 1 + Sat.Rng.int rng n0
+              in
+              src := s :: !src;
+              match norm0.(s - 1) with
+              | Some c -> (
+                match Sat.Clause.clashing_vars !cur c with
+                | [ v ] -> cur := Sat.Clause.resolve !cur c v
+                | _ -> ())
+              | None -> ()
+            done;
+            let src = List.rev !src in
+            if k > 0 && Sat.Rng.int rng 8 = 0 then Array.of_list (src @ [ 0 ])
+            else Array.of_list src)
+      in
+      let simulated norm src =
+        Array.for_all (fun s -> s > 0 && norm.(s - 1) <> None) src
+      in
+      let plant r =
+        let c =
+          if Sat.Rng.bool rng then Array.append r [| r.(0) |] else Array.copy r
+        in
+        Sat.Rng.shuffle rng c;
+        c
+      in
+      let planted =
+        List.concat_map
+          (fun src ->
+            if simulated norm0 src && Sat.Rng.bool rng then
+              match reference_chain norm0 src with
+              | Ok r when Array.length r > 0 ->
+                (* twice, at times: L703 must name the first copy *)
+                if Sat.Rng.bool rng then [ plant r; plant r ] else [ plant r ]
+              | Ok _ | Error _ -> []
+            else [])
+          chains
+      in
+      let origs = Array.append origs (Array.of_list planted) in
+      let norig = Array.length origs in
+      let norm = Array.map Sat.Clause.normalize origs in
+      let first_original r =
+        let rec go j =
+          if j > norig then None
+          else if norm.(j - 1) = Some r then Some j
+          else go (j + 1)
+        in
+        go 1
+      in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun k src ->
+               let id = norig + 1 + k in
+               if not (simulated norm src) then []
+               else
+                 match reference_chain norm src with
+                 | Ok r -> (
+                   match first_original r with
+                   | Some oid ->
+                     [ ( "L703",
+                         Printf.sprintf
+                           "clause %d rederives original clause %d verbatim" id
+                           oid ) ]
+                   | None -> [])
+                 | Error (i, "L701") ->
+                   [ ( "L701",
+                       Printf.sprintf
+                         "clause %d: chain step %d resolves against original \
+                          clause %d with no clashing variable"
+                         id i src.(i) ) ]
+                 | Error (i, code) ->
+                   [ ( code,
+                       Printf.sprintf
+                         "clause %d: chain step %d resolves against original \
+                          clause %d with more than one clashing variable \
+                          (tautological resolvent)"
+                         id i src.(i) ) ])
+             chains)
+      in
+      let records =
+        List.mapi
+          (fun k src ->
+            let id = norig + 1 + k in
+            Printf.sprintf "CL %d %s\n" id
+              (String.concat " "
+                 (List.map
+                    (fun s -> string_of_int (if s = 0 then id - 1 else s))
+                    (Array.to_list src))))
+          chains
+      in
+      let f = Sat.Cnf.create nvars in
+      Array.iter (fun c -> ignore (Sat.Cnf.add_clause f c)) origs;
+      let trace =
+        Printf.sprintf "t %d %d\n%sCONF %d\n" nvars norig
+          (String.concat "" records) (norig + nchains)
+      in
+      let report = lint_string f trace in
+      let got =
+        List.filter_map
+          (fun (d : Analysis.Lint.diagnostic) ->
+            let c = Analysis.Lint.code_id d.code in
+            if List.mem c l7xx then Some (c, d.message) else None)
+          report.Analysis.Lint.diagnostics
+      in
+      let count c = List.length (List.filter (fun (c', _) -> c' = c) expected) in
+      got = expected
+      && List.for_all (fun c -> code_count report c = count c) l7xx)
+
 (* --- inprocessing ---------------------------------------------------------- *)
 
 let test_inprocess_traces_check () =
@@ -405,6 +580,7 @@ let suite =
         Alcotest.test_case "L703 rederived original" `Quick test_l703_redundant;
         Alcotest.test_case "L7xx silent on valid chain" `Quick
           test_l7xx_silent_on_valid_chain;
+        prop_l7xx_matches_reference;
         Alcotest.test_case "inprocess traces check" `Quick
           test_inprocess_traces_check;
         Alcotest.test_case "pre + inprocess trace checks" `Quick

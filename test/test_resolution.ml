@@ -317,6 +317,54 @@ let test_nested_chain () =
       (sorted (Proof.Clause_db.lits db h))
   | exception Invalid_argument _ -> ()
 
+(* [Clause.resolve_normalized] against the reference [clashing_vars] /
+   [resolve] on normalized operands.  Three seeds in four force the clash
+   count ([seed mod 4] variables of [c1], as far as it has them, negated
+   into [c2], whose other literals avoid [c1]'s variables) and assert the
+   matching outcome, so all three outcomes are always exercised; the
+   fourth draws [c2] freely. *)
+let prop_resolve_normalized =
+  Helpers.qtest ~count:500 "resolve_normalized = Clause.resolve"
+    QCheck.(small_int)
+    (fun seed ->
+      let rng = Sat.Rng.create seed in
+      let nvars = 7 in
+      (* each allowed variable in with probability 1/2, either phase:
+         sorted and normalized by construction *)
+      let subset keep =
+        Array.of_list
+          (List.filter_map
+             (fun v ->
+               if keep v && Sat.Rng.bool rng then
+                 Some (Sat.Lit.make v (Sat.Rng.bool rng))
+               else None)
+             (List.init nvars (fun i -> i + 1)))
+      in
+      let c1 = subset (fun _ -> true) in
+      let forced = seed mod 4 in
+      let c2, expected =
+        if forced = 3 then (subset (fun _ -> true), None)
+        else begin
+          let k = min forced (Array.length c1) in
+          let in_c1 v = Array.exists (fun l -> Sat.Lit.var l = v) c1 in
+          let c =
+            Array.append
+              (Array.map Sat.Lit.negate (Array.sub c1 0 k))
+              (subset (fun v -> not (in_c1 v)))
+          in
+          Array.sort Int.compare c;
+          (c, Some k)
+        end
+      in
+      let expects k = match expected with None -> true | Some e -> e = k in
+      match
+        Sat.Clause.clashing_vars c1 c2, Sat.Clause.resolve_normalized c1 c2
+      with
+      | [], No_clash -> expects 0
+      | [ v ], One_clash r -> expects 1 && r = Sat.Clause.resolve c1 c2 v
+      | _ :: _ :: _, Multi_clash -> expects 2
+      | _, _ -> false)
+
 let suite =
   [
     ( "resolution-kernel",
@@ -337,6 +385,7 @@ let suite =
         Alcotest.test_case "db arena growth" `Quick test_db_grows;
         prop_matches_reference;
         prop_chain_matches_fold;
+        prop_resolve_normalized;
         Alcotest.test_case "chain allocates once" `Quick
           test_chain_allocates_once;
         Alcotest.test_case "nested chain" `Quick test_nested_chain;

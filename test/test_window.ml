@@ -188,7 +188,8 @@ let test_window_refuses_hints () =
 
 (* the bound is also visible through the telemetry surface: with
    recording on, the [window.resident_clauses] gauge carries the same
-   high-water mark on_stats reports, and stays under the window *)
+   high-water mark on_stats reports, and stays under the window; the
+   [window.reloaded_clauses] gauge carries the reload count *)
 let test_window_gauge_bound () =
   let f = Gen.Php.unsat ~holes:4 in
   let trace =
@@ -197,6 +198,9 @@ let test_window_gauge_bound () =
     | Solver.Cdcl.Sat _, _, _ -> Alcotest.fail "php must be unsat"
   in
   let g = Obs.Metrics.gauge Obs.Metrics.global "window.resident_clauses" in
+  let g_reloaded =
+    Obs.Metrics.gauge Obs.Metrics.global "window.reloaded_clauses"
+  in
   Obs.Ctl.enable ();
   Fun.protect ~finally:Obs.Ctl.disable @@ fun () ->
   List.iter
@@ -217,7 +221,11 @@ let test_window_gauge_bound () =
        | Some s ->
          Alcotest.check Alcotest.int
            (Printf.sprintf "window %d gauge mirrors stats" window)
-           s.Checker.Window.max_resident resident
+           s.Checker.Window.max_resident resident;
+         Alcotest.check Alcotest.int
+           (Printf.sprintf "window %d reload gauge mirrors stats" window)
+           s.Checker.Window.reloaded
+           (int_of_float (Obs.Metrics.Gauge.get g_reloaded))
        | None -> Alcotest.fail "on_stats never fired");
       if resident > window then
         Alcotest.failf "window %d: gauge reports %d resident" window resident)
